@@ -15,8 +15,11 @@ const char* to_string(instrument_kind k) {
 }
 
 registry& registry::instance() {
-    static registry r;
-    return r;
+    // Never destroyed: the global thread_pool's workers meter into it until
+    // the pool joins them at exit, which can run after a registry static
+    // constructed later than the pool would already be gone.
+    static registry* r = new registry;
+    return *r;
 }
 
 std::string registry::key_of(const std::string& name, const label_set& labels) {

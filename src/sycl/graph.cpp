@@ -8,16 +8,12 @@
 #include <utility>
 
 #include "analyze/recorder.hpp"
-#include "analyze/shadow.hpp"
-#include "fault/inject.hpp"
 #include "metrics/instruments.hpp"
-#include "resilience/cancel.hpp"
+#include "sycl/command.hpp"
 #include "sycl/event.hpp"
 #include "sycl/thread_pool.hpp"
 
 namespace syclite::graph {
-
-namespace fault = altis::fault;
 
 namespace {
 
@@ -177,45 +173,6 @@ namespace {
 void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
             std::exception_ptr error, bool cancelled);
 
-/// Runs one claimed node (state already `running`, exec moved out).
-void execute_body(const std::shared_ptr<scheduler_state>& st,
-                  std::uint64_t id,
-                  detail::small_function<void(thread_pool&)> exec,
-                  const std::string& name, bool transfer, std::uint64_t cg,
-                  int actor, altis::analyze::recorder* rec,
-                  thread_pool* pool) {
-    std::exception_ptr error;
-    bool cancelled = false;
-    try {
-        // Dispatch-time checkpoint: a deadline that expired while this node
-        // sat in the queue cancels it before a single byte moves.
-        altis::resilience::checkpoint();
-        fault::maybe_inject(transfer ? fault::op_kind::transfer
-                                     : fault::op_kind::launch,
-                            name,
-                            transfer ? "transfer failed"
-                                     : "kernel launch failed");
-        const bool metered = altis::metrics::collecting();
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().add(1);
-        {
-            altis::analyze::shadow::actor_scope scope(actor);
-            exec(*pool);
-        }
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().sub(1);
-    } catch (const altis::resilience::cancelled_error&) {
-        error = std::current_exception();
-        cancelled = true;
-        if (altis::metrics::collecting())
-            altis::metrics::instruments::sched_cancelled_nodes().add();
-    } catch (...) {
-        error = std::current_exception();
-    }
-    if (rec != nullptr && cg != 0) rec->retire(cg);
-    settle(st, id, std::move(error), cancelled);
-}
-
 /// Claims `id` if still ready and runs it. Posted to the pool; also the
 /// join-side work-stealing path. Stale calls (node already claimed, epoch
 /// reset) are no-ops.
@@ -245,8 +202,13 @@ void run_one(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
         rec = n->recorder;
         pool = st->pool;
     }
-    execute_body(st, id, std::move(exec), name, transfer, cg, actor, rec,
-                 pool);
+    detail::command_outcome o =
+        detail::run_command(name, transfer, cg, actor, rec, exec, *pool);
+    const bool cancelled =
+        o.status == detail::command_outcome::kind::cancelled;
+    if (cancelled && altis::metrics::collecting())
+        altis::metrics::instruments::sched_cancelled_nodes().add();
+    settle(st, id, std::move(o.error), cancelled);
 }
 
 void post_dispatch(const std::shared_ptr<scheduler_state>& st,

@@ -18,10 +18,11 @@
 // bookkeeping (recorder, trace, events log) and then release()s the node for
 // dispatch. Nothing can run before its shadow-clock edges exist.
 //
-// fault/resilience integration: every node passes a resilience checkpoint
-// and the fault injection point (launch/transfer) at *dispatch*, so a
-// deadline cancels queued-but-unstarted nodes and injected faults surface as
-// an async exception_list at the next graph join.
+// fault/resilience integration: every node runs through the one command
+// body (sycl/command.hpp) and passes a resilience checkpoint and the fault
+// injection point (launch/transfer) at *dispatch*: a deadline cancels
+// queued-but-unstarted nodes, and injected faults surface as an async
+// exception_list at the next graph join.
 #pragma once
 
 #include <cstddef>

@@ -10,11 +10,11 @@
 #include "analyze/pipes.hpp"
 #include "analyze/sanitize.hpp"
 #include "fault/inject.hpp"
+#include "mem/transfer.hpp"
 #include "metrics/instruments.hpp"
 #include "perf/model.hpp"
 #include "perf/resource_model.hpp"
 #include "resilience/cancel.hpp"
-#include "sycl/pipe.hpp"
 
 namespace syclite {
 
@@ -32,30 +32,29 @@ namespace {
             .count());
 }
 
-/// RAII inc/dec of the in-flight kernel gauge; captures the metering
-/// decision once so the pair always balances even if a session starts or
-/// stops mid-kernel.
-struct inflight_guard {
-    bool metered = altis::metrics::collecting();
-    inflight_guard() {
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().add(1);
-    }
-    ~inflight_guard() {
-        if (metered)
-            altis::metrics::instruments::queue_inflight_kernels().sub(1);
-    }
-};
+/// Modeled device time of a kernel; `fmax_mhz > 0` clocks an FPGA kernel at
+/// that design Fmax instead of its per-kernel estimate.
+[[nodiscard]] double kernel_duration_ns(const perf::kernel_stats& stats,
+                                        const perf::device_spec& dev,
+                                        double fmax_mhz) {
+    return dev.is_fpga() && fmax_mhz > 0.0
+               ? perf::fpga_kernel_time_ns(stats, dev, fmax_mhz)
+               : perf::kernel_time_ns(stats, dev);
+}
 
-/// Retires a command group's accessor-lifetime token on every exit path of
-/// the owning scope (success, injected fault, app exception).
-struct retire_guard {
-    analyze::recorder* rec;
-    std::uint64_t cg;
-    ~retire_guard() {
-        if (rec != nullptr && cg != 0) rec->retire(cg);
+/// Error-span label of a failed command: "error[<kernel>]: <what>" (no
+/// ": <what>" for exceptions not derived from std::exception).
+[[nodiscard]] std::string error_label(const std::string& kernel,
+                                      const std::exception_ptr& error) {
+    std::string label = "error[" + kernel + "]";
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        label += std::string(": ") + e.what();
+    } catch (...) {
     }
-};
+    return label;
+}
 
 /// Releases an enqueued (held) graph node on every exit path of the
 /// submit-side bookkeeping, so an exception there cannot leave the node held
@@ -102,10 +101,7 @@ queue::queue(const std::string& device_name, perf::runtime_kind rt,
 
 queue::~queue() {
     // Abandoning a dataflow group would leak blocked threads; join them.
-    for (auto& t : pending_threads_)
-        if (t.joinable()) t.join();
-    for (const pending_work& w : pending_work_)
-        if (recorder_ != nullptr && w.cg != 0) recorder_->retire(w.cg);
+    abort_dataflow();
     if (sched_ != nullptr) {
         // Implicit join; destructors cannot deliver, so errors are dropped
         // (same contract as an in-order queue destroyed with async errors
@@ -114,14 +110,6 @@ queue::~queue() {
         (void)sched_->drain_errors();
         if (recorder_ != nullptr) recorder_->record_graph_join(queue_id_);
     }
-}
-
-void queue::record_transfer_node(bool to_device, const void* base,
-                                 std::size_t bytes) {
-    recorder_->record_transfer(queue_id_,
-                               to_device ? analyze::node_kind::transfer_in
-                                         : analyze::node_kind::transfer_out,
-                               base, bytes);
 }
 
 void queue::record_error_span(const std::string& label) {
@@ -158,11 +146,25 @@ event queue::record(const perf::kernel_stats& stats, double duration_ns,
     return events_.back();
 }
 
+analyze::node queue::kernel_node(handler& h) const {
+    analyze::node n;
+    n.kind = analyze::node_kind::kernel;
+    n.cg = h.cg_.id;
+    n.kernel = h.stats().name;
+    n.queue = queue_id_;
+    n.group = in_dataflow_ ? current_group_ : -1;
+    n.accesses = std::move(h.accesses_);
+    n.pipes = std::move(h.pipes_);
+    n.stats = h.stats();
+    n.device = &dev_;
+    return n;
+}
+
 event queue::finish_submit(handler&& h) {
     // Submission latency is wall-clock host time spent inside submit() --
-    // bookkeeping plus (outside dataflow groups) the kernel execution
-    // itself, mirroring what a profiler sees on q.submit() in the paper's
-    // in-order queues.
+    // bookkeeping plus (in-order, outside dataflow groups) the kernel
+    // execution itself, mirroring what a profiler sees on q.submit() in the
+    // paper's in-order queues.
     const bool metered = altis::metrics::collecting();
     const std::uint64_t submit_t0 = metered ? wall_ns() : 0;
     struct latency_guard {
@@ -176,33 +178,25 @@ event queue::finish_submit(handler&& h) {
         }
     } submit_latency{metered, submit_t0};
 
-    // In-order queues run synchronously, so a depends_on edge on a
+    // Dataflow groups defer/overlap their own way, even on OOO queues.
+    const bool on_graph = sched_ != nullptr && !in_dataflow_;
+    // Off the graph, commands run synchronously, so a depends_on edge on a
     // same-queue event is vacuous -- but an event from an out-of-order
     // queue's graph (the only kind that carries a command id) still needs a
     // real join before this command may run.
-    for (const handler::graph_dep& d : h.deps_) graph::wait_node(d.state, d.id);
+    if (!on_graph)
+        for (const handler::graph_dep& d : h.deps_)
+            graph::wait_node(d.state, d.id);
 
     if (!h.has_kernel()) {
         // An empty command group still handed out accessors; their lifetime
         // ends here.
-        retire_guard retire{recorder_, h.cg_.id};
+        if (recorder_ != nullptr && h.cg_.id != 0) recorder_->retire(h.cg_.id);
         return event(sim_now_ns_, sim_now_ns_, sim_now_ns_);
     }
+    if (on_graph) return finish_submit_graph(h);
 
-    if (recorder_ != nullptr) {
-        analyze::node n;
-        n.kind = analyze::node_kind::kernel;
-        n.cg = h.cg_.id;
-        n.kernel = h.stats().name;
-        n.queue = queue_id_;
-        n.group = in_dataflow_ ? current_group_ : -1;
-        n.accesses = std::move(h.accesses_);
-        n.pipes = std::move(h.pipes_);
-        n.stats = h.stats();
-        n.device = &dev_;
-        recorder_->add_node(std::move(n));
-    }
-
+    if (recorder_ != nullptr) recorder_->add_node(kernel_node(h));
     if (in_dataflow_) {
         // Deferred: the worker thread starts at end_dataflow(), once the
         // whole group is known (see pending_work in the header).
@@ -213,60 +207,30 @@ event queue::finish_submit(handler&& h) {
         return event();  // timestamps assigned at end_dataflow()
     }
 
-    retire_guard retire{recorder_, h.cg_.id};
-    try {
-        altis::resilience::checkpoint();
-        fault::maybe_inject(fault::op_kind::launch, h.stats().name,
-                            "kernel launch failed");
-        inflight_guard inflight;
-        // Attribute the kernel's observed accesses to its shadow actor
-        // (no-op when no sanitize session assigned one).
-        altis::analyze::shadow::actor_scope actor(h.cg_.actor);
-        h.exec_(thread_pool::global());
-    } catch (const std::exception& e) {
-        // Copy the kernel name into the span label *before* anything can
-        // donate h.stats_.name: the error span must keep naming the kernel
-        // even after the handler is torn down.
-        record_error_span("error[" + h.stats().name + "]: " + e.what());
-        if (handler_) {
-            // SYCL semantics: execution errors are asynchronous -- they
-            // surface at the next wait()/throw_asynchronous(), not here.
-            async_errors_.push_back(std::current_exception());
-            return event(sim_now_ns_, sim_now_ns_, sim_now_ns_,
-                         h.stats().name);
-        }
-        throw;
+    detail::command_outcome o =
+        detail::run_command(h.stats().name, /*transfer=*/false, h.cg_.id,
+                            h.cg_.actor, recorder_, h.exec_,
+                            thread_pool::global());
+    if (o.status != detail::command_outcome::kind::ok) {
+        record_error_span(error_label(h.stats().name, o.error));
+        // SYCL semantics: execution errors are asynchronous -- with a
+        // handler they surface at the next wait()/throw_asynchronous(), not
+        // here. Cancellation is not an execution error: the supervisor
+        // pulled the plug and the sweep must unwind, handler or not.
+        if (!handler_ ||
+            o.status == detail::command_outcome::kind::cancelled)
+            std::rethrow_exception(o.error);
+        async_errors_.push_back(std::move(o.error));
+        return event(sim_now_ns_, sim_now_ns_, sim_now_ns_, h.stats().name);
     }
-    const double duration =
-        (dev_.is_fpga() && design_fmax_mhz_ > 0.0)
-            ? perf::fpga_kernel_time_ns(h.stats(), dev_, design_fmax_mhz_)
-            : perf::kernel_time_ns(h.stats(), dev_);
-    return record(h.stats(), duration, &h.stats_.name);
+    return record(h.stats(),
+                  kernel_duration_ns(h.stats(), dev_, design_fmax_mhz_),
+                  &h.stats_.name);
 }
 
-event queue::finish_submit_graph(handler&& h) {
-    const bool metered = altis::metrics::collecting();
-    const std::uint64_t submit_t0 = metered ? wall_ns() : 0;
-    struct latency_guard {
-        bool metered;
-        std::uint64_t t0;
-        ~latency_guard() {
-            if (!metered) return;
-            namespace mi = altis::metrics::instruments;
-            mi::queue_submissions().add();
-            mi::queue_submit_latency_ns().record(wall_ns() - t0);
-        }
-    } submit_latency{metered, submit_t0};
-
-    if (!h.has_kernel()) {
-        retire_guard retire{recorder_, h.cg_.id};
-        return event(sim_now_ns_, sim_now_ns_, sim_now_ns_);
-    }
-
+event queue::finish_submit_graph(handler& h) {
     const double duration =
-        (dev_.is_fpga() && design_fmax_mhz_ > 0.0)
-            ? perf::fpga_kernel_time_ns(h.stats(), dev_, design_fmax_mhz_)
-            : perf::kernel_time_ns(h.stats(), dev_);
+        kernel_duration_ns(h.stats(), dev_, design_fmax_mhz_);
     // The host side of an async launch: submission overhead lands on the
     // host clock now; the kernel's own time lives on a graph lane and folds
     // in at the join.
@@ -308,18 +272,8 @@ event queue::finish_submit_graph(handler&& h) {
     // node must still be released, or it stays `held` forever and every
     // later join -- including ~queue during unwind -- deadlocks.
     release_guard release{sched_.get(), t.id};
-    if (recorder_ != nullptr) {
-        analyze::node n;
-        n.kind = analyze::node_kind::kernel;
-        n.cg = h.cg_.id;
-        n.kernel = h.stats().name;
-        n.queue = queue_id_;
-        n.accesses = std::move(h.accesses_);
-        n.pipes = std::move(h.pipes_);
-        n.stats = h.stats();
-        n.device = &dev_;
-        recorder_->add_node_graph(std::move(n), t.dep_actors);
-    }
+    if (recorder_ != nullptr)
+        recorder_->add_node_graph(kernel_node(h), t.dep_actors);
     if (trace_ != nullptr) {
         const double b = trace_base_ns_;
         trace_->record({trace::span_kind::overhead, "launch", b + submit,
@@ -329,6 +283,27 @@ event queue::finish_submit_graph(handler&& h) {
     }
     events_.emplace_back(submit, t.start_ns, t.end_ns, h.stats().name, t.id,
                          sched_->state());
+    return events_.back();
+}
+
+event queue::submit_transfer(bool to_device, void* dst, const void* src,
+                             std::size_t bytes, bool raw) {
+    if (sched_ != nullptr && raw) {
+        // Write-back is a targeted graph join: the copy node depends
+        // (through implied edges) on every producer of the buffer's range,
+        // and waiting on it drains exactly that chain.
+        event e = submit_transfer_graph(to_device, dst, src, bytes);
+        if (!to_device) e.wait();
+        return e;
+    }
+    join_graph();
+    annotate_transfer(static_cast<double>(bytes));
+    if (recorder_ != nullptr)
+        recorder_->record_transfer(queue_id_,
+                                   to_device ? analyze::node_kind::transfer_in
+                                             : analyze::node_kind::transfer_out,
+                                   to_device ? dst : src, bytes);
+    if (raw) altis::mem::copy_bytes(dst, src, bytes);
     return events_.back();
 }
 
@@ -389,14 +364,7 @@ void queue::collect_graph_errors() {
             std::rethrow_exception(c.error);
         }
     for (graph::completion& c : failed) {
-        std::string label = "error[" + c.name + "]";
-        try {
-            std::rethrow_exception(c.error);
-        } catch (const std::exception& e) {
-            label += std::string(": ") + e.what();
-        } catch (...) {
-        }
-        record_error_span(label);
+        record_error_span(error_label(c.name, c.error));
         async_errors_.push_back(std::move(c.error));
     }
 }
@@ -506,37 +474,12 @@ void queue::launch_dataflow_workers() {
         pending_threads_.emplace_back(
             [this, index = w.index, cg = w.cg, name = std::move(w.kernel),
              exec = std::move(w.exec), actor = w.actor]() mutable {
-                altis::analyze::shadow::actor_scope actor_binding(actor);
-                retire_guard retire{recorder_, cg};
-                worker_error we;
-                we.index = index;
-                we.kernel = name;
-                try {
-                    altis::resilience::checkpoint();
-                    fault::maybe_inject(fault::op_kind::launch, name,
-                                        "kernel launch failed");
-                    inflight_guard inflight;
-                    exec(thread_pool::global());
-                    return;
-                } catch (const pipe_deadlock& pd) {
-                    // Watchdog: a pipe timeout means this kernel was wedged
-                    // waiting for its peer; end_dataflow() merges these into
-                    // one structured dataflow_error.
-                    we.error = std::current_exception();
-                    we.pipe_blocked = true;
-                    we.detail = pd.what();
-                } catch (const altis::resilience::cancelled_error&) {
-                    // Cancellation reached a worker mid-kernel (deadline
-                    // supervisor or signal). Flagged so end_dataflow()
-                    // rethrows it as the group's root cause instead of
-                    // folding it into a dataflow_error.
-                    we.error = std::current_exception();
-                    we.cancelled = true;
-                } catch (...) {
-                    we.error = std::current_exception();
-                }
+                detail::command_outcome o = detail::run_command(
+                    name, /*transfer=*/false, cg, actor, recorder_, exec,
+                    thread_pool::global());
+                if (o.status == detail::command_outcome::kind::ok) return;
                 std::lock_guard lock(worker_errors_mutex_);
-                worker_errors_.push_back(std::move(we));
+                worker_errors_.push_back({index, std::move(name), std::move(o)});
             });
     }
     pending_work_.clear();
@@ -573,11 +516,7 @@ std::vector<event> queue::end_dataflow() {
             std::string msg = "sanitize: refusing to launch dataflow group:";
             for (const analyze::finding& f : findings.findings())
                 msg += " [" + f.rule + "] " + f.message + ";";
-            for (const pending_work& w : pending_work_)
-                if (w.cg != 0) recorder_->retire(w.cg);
-            pending_work_.clear();
-            pending_stats_.clear();
-            current_group_ = -1;
+            abort_dataflow();
             record_error_span("sanitize: pipe topology");
             throw analyze::sanitize_error(msg);
         }
@@ -606,18 +545,19 @@ std::vector<event> queue::end_dataflow() {
         // supervisor pulled the plug, so peers that then saw a dead pipe are
         // collateral. Rethrow directly -- never routed through an async
         // handler, a cancelled sweep must unwind.
+        using kind = detail::command_outcome::kind;
         for (const auto& we : errors)
-            if (we.cancelled) {
+            if (we.outcome.status == kind::cancelled) {
                 record_error_span("dataflow cancelled");
-                std::rethrow_exception(we.error);
+                std::rethrow_exception(we.outcome.error);
             }
         std::vector<std::string> blocked;
         std::string detail;
         for (const auto& we : errors) {
-            if (!we.pipe_blocked) continue;
+            if (we.outcome.status != kind::pipe_blocked) continue;
             blocked.push_back(we.kernel);
             if (!detail.empty()) detail += "; ";
-            detail += we.kernel + ": " + we.detail;
+            detail += we.kernel + ": " + we.outcome.detail;
         }
         exception_list list;
         if (!blocked.empty()) {
@@ -628,7 +568,8 @@ std::vector<event> queue::end_dataflow() {
                 dataflow_error(msg, std::move(blocked))));
         }
         for (auto& we : errors)
-            if (!we.pipe_blocked) list.push_back(std::move(we.error));
+            if (we.outcome.status != kind::pipe_blocked)
+                list.push_back(std::move(we.outcome.error));
         record_error_span("dataflow error");
         deliver(std::move(list));
         return {};  // handler consumed the errors; the group produced no work
@@ -637,19 +578,13 @@ std::vector<event> queue::end_dataflow() {
     // Simulated overlap: every kernel of the group launches together; the
     // group completes with its slowest member. On FPGA all kernels share one
     // bitstream, so each is clocked at the design Fmax.
+    double fmax = design_fmax_mhz_;
+    if (dev_.is_fpga() && fmax <= 0.0)
+        fmax = perf::estimate_design_resources(pending_stats_, dev_).fmax_mhz;
     std::vector<double> durations;
     durations.reserve(pending_stats_.size());
-    if (dev_.is_fpga()) {
-        const double fmax =
-            design_fmax_mhz_ > 0.0
-                ? design_fmax_mhz_
-                : perf::estimate_design_resources(pending_stats_, dev_).fmax_mhz;
-        for (const auto& s : pending_stats_)
-            durations.push_back(perf::fpga_kernel_time_ns(s, dev_, fmax));
-    } else {
-        for (const auto& s : pending_stats_)
-            durations.push_back(perf::kernel_time_ns(s, dev_));
-    }
+    for (const auto& s : pending_stats_)
+        durations.push_back(kernel_duration_ns(s, dev_, fmax));
 
     const double launch = perf::launch_overhead_ns(rt_, dev_);
     const double submit = sim_now_ns_;

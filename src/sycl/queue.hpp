@@ -17,13 +17,16 @@
 // first error is (re)thrown at the point it is observed.
 //
 // Queue properties (sycl::property::queue analogue): the default in_order
-// queue executes every submission eagerly and synchronously, exactly as
-// before the command graph existed. queue_property::out_of_order routes
+// queue executes every submission eagerly and synchronously and charges each
+// kernel its modeled duration directly, which keeps simulated times
+// bit-exact (a graph's lane-union fold charges (start + dur) - start, which
+// is not bit-equal to dur). queue_property::out_of_order routes
 // kernels and copies through a graph::scheduler instead -- edges from
 // handler::depends_on events and accessor/USM-implied conflicts, ready nodes
 // dispatched asynchronously on the thread pool, errors delivered as an
 // exception_list at the next graph join (wait()/throw_asynchronous). See
-// sycl/graph.hpp and DESIGN.md "Command graph & scheduling".
+// sycl/graph.hpp and DESIGN.md "Command graph & scheduling". Whichever path
+// runs a command, it runs through the one body in sycl/command.hpp.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +37,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "mem/transfer.hpp"
 #include "perf/device.hpp"
 #include "perf/overhead.hpp"
+#include "sycl/command.hpp"
 #include "sycl/error.hpp"
 #include "sycl/event.hpp"
 #include "sycl/graph.hpp"
@@ -90,10 +93,7 @@ public:
         handler h;
         h.begin_capture(recorder_, /*track_ranges=*/sched_ != nullptr);
         cgf(h);
-        // Dataflow groups defer/overlap their own way, even on OOO queues.
-        return sched_ != nullptr && !in_dataflow_
-                   ? finish_submit_graph(std::move(h))
-                   : finish_submit(std::move(h));
+        return finish_submit(std::move(h));
     }
 
     /// Host synchronization (cudaDeviceSynchronize / queue::wait analogue);
@@ -129,52 +129,20 @@ public:
     /// charge from annotate_transfer is identical either way.
     template <typename T>
     event copy_to_device(buffer<T>& dst, const T* src) {
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (sched_ != nullptr)
-                // Asynchronous on the graph: a node writing the buffer's
-                // range, ordered after conflicting in-flight commands by the
-                // implied-edge machinery; the returned event joins it.
-                return submit_transfer_graph(/*to_device=*/true,
-                                             dst.host_data(), src,
-                                             dst.byte_size());
-        } else {
-            if (sched_ != nullptr) join_graph();
-        }
-        annotate_transfer(static_cast<double>(dst.byte_size()));
-        if (recorder_ != nullptr)
-            record_transfer_node(/*to_device=*/true, dst.host_data(),
-                                 dst.byte_size());
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(dst.host_data(), src, dst.byte_size());
-        else
-            std::copy(src, src + dst.size(), dst.host_data());
-        return events_.back();
+        constexpr bool raw = std::is_trivially_copyable_v<T>;
+        event e = submit_transfer(/*to_device=*/true, dst.host_data(), src,
+                                  dst.byte_size(), raw);
+        if constexpr (!raw) std::copy(src, src + dst.size(), dst.host_data());
+        return e;
     }
     template <typename T>
     event copy_from_device(const buffer<T>& src, T* dst) {
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (sched_ != nullptr) {
-                // Write-back is a targeted graph join: the copy node depends
-                // (through implied edges) on every producer of the buffer's
-                // range, and waiting on it drains exactly that chain.
-                event e = submit_transfer_graph(/*to_device=*/false, dst,
-                                                src.host_data(),
-                                                src.byte_size());
-                e.wait();
-                return e;
-            }
-        } else {
-            if (sched_ != nullptr) join_graph();
-        }
-        annotate_transfer(static_cast<double>(src.byte_size()));
-        if (recorder_ != nullptr)
-            record_transfer_node(/*to_device=*/false, src.host_data(),
-                                 src.byte_size());
-        if constexpr (std::is_trivially_copyable_v<T>)
-            altis::mem::copy_bytes(dst, src.host_data(), src.byte_size());
-        else
+        constexpr bool raw = std::is_trivially_copyable_v<T>;
+        event e = submit_transfer(/*to_device=*/false, dst, src.host_data(),
+                                  src.byte_size(), raw);
+        if constexpr (!raw)
             std::copy(src.host_data(), src.host_data() + src.size(), dst);
-        return events_.back();
+        return e;
     }
     /// Timing-only transfer annotation (no functional copy); also the
     /// injection point for `transfer` faults.
@@ -226,10 +194,7 @@ private:
     struct worker_error {
         std::size_t index = 0;
         std::string kernel;
-        std::exception_ptr error;
-        bool pipe_blocked = false;  ///< failure was a pipe deadlock-timeout
-        bool cancelled = false;     ///< cooperative cancellation, not a fault
-        std::string detail;         ///< deadlock message (pipe, occupancy)
+        detail::command_outcome outcome;
     };
 
     /// One dataflow kernel accepted but not yet started: under a dataflow
@@ -244,14 +209,26 @@ private:
         int actor = -1;  ///< shadow actor bound around execution (-1: none)
     };
 
+    /// The non-template half of submit(): meters submission latency, then
+    /// runs the command inline (in-order), defers it (dataflow group) or
+    /// enqueues it (out-of-order).
     event finish_submit(handler&& h);
     /// Out-of-order path of submit(): two-phase enqueue onto the graph
     /// scheduler (enqueue -> recorder/trace/events bookkeeping -> release).
-    event finish_submit_graph(handler&& h);
+    event finish_submit_graph(handler& h);
+    /// The non-template half of copy_to_device/copy_from_device. `raw`
+    /// (trivially copyable elements) copies the bytes here, as a graph node on
+    /// out-of-order queues; otherwise the graph is joined and the caller
+    /// copies element-wise after this returns.
+    event submit_transfer(bool to_device, void* dst, const void* src,
+                          std::size_t bytes, bool raw);
     /// Async copy as a graph node. `device` is the buffer's backing range
     /// (the conflict identity kernels declare); `host` the app-side pointer.
     event submit_transfer_graph(bool to_device, void* dst_ptr,
                                 const void* src_ptr, std::size_t bytes);
+    /// The sanitizer's command-graph node for a kernel submission; moves the
+    /// handler's captured accesses and pipes.
+    analyze::node kernel_node(handler& h) const;
     /// Joins the whole graph and folds its modeled timeline into the queue
     /// clocks; queues node errors for async delivery (cancellation rethrows)
     /// and starts a fresh epoch. No-op on in-order queues.
@@ -265,8 +242,6 @@ private:
     event record(const perf::kernel_stats& stats, double duration_ns,
                  std::string* name = nullptr);
     void record_error_span(const std::string& label);
-    void record_transfer_node(bool to_device, const void* base,
-                              std::size_t bytes);
     void deliver(exception_list errors);
     void launch_dataflow_workers();
 

@@ -65,14 +65,14 @@ struct span {
     /// (paper Fig. 3). Lanes are reused by successive groups.
     int track = 0;
     span_status status = span_status::ok;
-    span_counters counters;
+    span_counters counters{};
     /// Graph command id of this span (out-of-order queues; 0 = not a graph
     /// command). Stable within a session; the chrome exporter uses it to
     /// anchor Perfetto flow arrows between dependent commands.
     std::uint64_t cmd = 0;
     /// Graph command ids this command depends on (explicit depends_on plus
     /// accessor-implied edges). Empty for in-order spans.
-    std::vector<std::uint64_t> deps;
+    std::vector<std::uint64_t> deps{};
 
     [[nodiscard]] double duration_ns() const { return end_ns - start_ns; }
 };

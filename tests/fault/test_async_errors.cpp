@@ -1,14 +1,18 @@
 // SYCL-style asynchronous error delivery, the dataflow watchdog's structured
-// deadlock reporting, the RAII dataflow guard, and the configurable pipe
-// deadlock timeout.
+// deadlock reporting, the RAII dataflow guard, the configurable pipe
+// deadlock timeout, and one delivery contract across every command path.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/inject.hpp"
+#include "metrics/instruments.hpp"
+#include "metrics/session.hpp"
+#include "resilience/cancel.hpp"
 #include "sycl/syclite.hpp"
 
 namespace syclite {
@@ -156,6 +160,104 @@ TEST(AsyncErrors, DataflowGuardUnlatchesQueueOnException) {
     q.submit([&](handler& h) { h.single_task(stats("b"), [] {}); });
     EXPECT_EQ(g2.join().size(), 1u);
 }
+
+// ---- one command body: the same contract on every path --------------------
+
+enum class command_path { in_order, out_of_order, dataflow };
+
+class CommandPaths : public ::testing::TestWithParam<command_path> {
+protected:
+    void SetUp() override { altis::resilience::current().reset(); }
+    void TearDown() override { altis::resilience::current().reset(); }
+
+    queue make_queue() {
+        return queue("stratix_10", perf::runtime_kind::sycl,
+                     [this](exception_list errors) {
+                         for (const auto& e : errors) {
+                             try {
+                                 std::rethrow_exception(e);
+                             } catch (const std::exception& ex) {
+                                 delivered.emplace_back(ex.what());
+                             }
+                         }
+                     },
+                     GetParam() == command_path::out_of_order
+                         ? queue_property::out_of_order
+                         : queue_property::in_order);
+    }
+
+    /// Submits one kernel on the path under test and joins it: wait() on
+    /// the queues, end_dataflow() for the group. The out-of-order node runs
+    /// at its event's targeted join; `reset_token` then clears the process
+    /// token before wait(), whose own checkpoint would otherwise throw, so a
+    /// cancelled_error reaching the caller came through the command itself.
+    /// (end_dataflow() has no checkpoint of its own.)
+    void run(queue& q, const char* name, void (*body)(),
+             bool reset_token = false) {
+        const auto submit = [&] {
+            return q.submit([&](handler& h) {
+                h.single_task(stats(name), [body] { body(); });
+            });
+        };
+        if (GetParam() == command_path::dataflow) {
+            dataflow_guard g(q);
+            submit();
+            (void)g.join();
+            return;
+        }
+        submit().wait();
+        if (reset_token) altis::resilience::current().reset();
+        q.wait();
+    }
+
+    std::vector<std::string> delivered;
+};
+
+TEST_P(CommandPaths, FaultsReachHandlerAndCancellationUnwinds) {
+    namespace res = altis::resilience;
+    altis::metrics::session metrics("command-paths", {/*sample_hz=*/0.0});
+    queue q = make_queue();
+
+    {
+        fault::plan p = fault::plan::parse("launch:k@1");
+        fault::scope s(p);
+        run(q, "k", [] {});
+    }
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0],
+              "injected launch fault on 'k' (rule launch:k@1): kernel launch "
+              "failed");
+
+    delivered.clear();
+    run(q, "throws", [] { throw std::runtime_error("kernel body failed"); });
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0], "kernel body failed");
+
+    // Cancellation is not an execution error: it unwinds past the handler.
+    delivered.clear();
+    res::current().cancel(res::cancel_reason::manual);
+    EXPECT_THROW(run(q, "cancelled", [] {}, /*reset_token=*/true),
+                 res::cancelled_error);
+    res::current().reset();
+    q.wait();
+    EXPECT_TRUE(delivered.empty());
+
+    metrics.stop();
+    EXPECT_EQ(altis::metrics::instruments::queue_inflight_kernels().value(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPaths, CommandPaths,
+    ::testing::Values(command_path::in_order, command_path::out_of_order,
+                      command_path::dataflow),
+    [](const ::testing::TestParamInfo<command_path>& info) {
+        switch (info.param) {
+            case command_path::in_order: return std::string("InOrder");
+            case command_path::out_of_order: return std::string("OutOfOrder");
+            case command_path::dataflow: return std::string("Dataflow");
+        }
+        return std::string();
+    });
 
 TEST(PipeTimeout, ConstructorTimeoutBoundsBlockingOps) {
     pipe<int> pp(2, "tiny", std::chrono::milliseconds(20));

@@ -119,6 +119,33 @@ TEST(Session, InstrumentedWorkloadLandsInSnapshot) {
     EXPECT_EQ(metric_or_zero(snap, "syclite_queue_inflight_kernels"), 0);
 }
 
+TEST(Session, InflightGaugeBalancesWhenGraphNodesThrow) {
+    session s("throwing-nodes", no_sampler());
+    int delivered = 0;
+    {
+        syclite::queue q(
+            "xeon_6128", perf::runtime_kind::sycl,
+            [&](syclite::exception_list errors) {
+                delivered += static_cast<int>(errors.size());
+            },
+            syclite::queue_property::out_of_order);
+        perf::kernel_stats k;
+        k.name = "throwing_node";
+        for (int i = 0; i < 3; ++i)
+            q.submit([&](syclite::handler& h) {
+                h.library_call(k, [] {
+                    throw std::runtime_error("node body failed");
+                });
+            });
+        q.wait();
+    }
+    s.stop();
+    EXPECT_EQ(delivered, 3);
+    EXPECT_EQ(metric_or_zero(s.take_snapshot(),
+                             "syclite_queue_inflight_kernels"),
+              0);
+}
+
 TEST(Session, PipeOccupancyWatermarkNeverExceedsCapacity) {
     session s("pipes", no_sampler());
 
