@@ -43,9 +43,6 @@ std::mutex g_reg_mu;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variabl
 std::vector<thread_runs*> g_registry;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
 std::unordered_set<store*> g_live_stores;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
 
-struct tls_holder;
-thread_local tls_holder* t_holder = nullptr;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-
 /// Owns the thread's run table and deregisters it when the thread dies
 /// (flushing any runs that still belong to a live store).
 struct tls_holder {

@@ -88,9 +88,12 @@ clustering golden(const params& p, const dataset& data) {
     out.centers = data.initial_centers;
     out.assignment.assign(p.n, 0);
     for (int iter = 0; iter < p.iterations; ++iter) {
-        for (std::size_t i = 0; i < p.n; ++i)
+        // Assignment is per point and runs on the pool; the accumulation
+        // stays serial so the center sums keep their point order.
+        sl::thread_pool::global().parallel_for(p.n, [&](std::size_t i) {
             out.assignment[i] = nearest_center(&data.points[i * p.d],
                                                out.centers.data(), p.k, p.d);
+        });
         accumulate_and_finalize(p, data.points.data(), out.assignment.data(),
                                 out.centers.data());
     }

@@ -45,10 +45,13 @@ std::uint16_t escape_iters(const params& p, int px, int py) {
 void golden(const params& p, std::span<std::uint16_t> iters) {
     if (iters.size() != p.pixels())
         throw std::invalid_argument("mandelbrot::golden: bad output size");
-    for (int y = 0; y < p.height; ++y)
-        for (int x = 0; x < p.width; ++x)
-            iters[static_cast<std::size_t>(y) * p.width + x] =
-                escape_iters(p, x, y);
+    // One pool index per row; every pixel is independent.
+    sl::thread_pool::global().parallel_for(
+        static_cast<std::size_t>(p.height), [&](std::size_t row) {
+            const int y = static_cast<int>(row);
+            for (int x = 0; x < p.width; ++x)
+                iters[row * p.width + x] = escape_iters(p, x, y);
+        });
 }
 
 double mean_iterations(const params& p) {

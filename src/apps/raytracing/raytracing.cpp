@@ -279,10 +279,12 @@ std::vector<sphere> make_scene() {
 std::vector<vec3> golden(const params& p, rng_kind kind) {
     const std::vector<sphere> scene = make_scene();
     std::vector<vec3> image(p.pixels());
-    for (std::size_t py = 0; py < p.height; ++py)
+    // One pool index per row; each pixel seeds its own sampler.
+    sl::thread_pool::global().parallel_for(p.height, [&](std::size_t py) {
         for (std::size_t px = 0; px < p.width; ++px)
             image[py * p.width + px] = render_pixel(
                 p, scene.data(), scene.size(), kind, px, py, nullptr);
+    });
     return image;
 }
 

@@ -60,7 +60,7 @@ stats2 image_stats_chunked(const float* img, std::size_t n, std::size_t chunk) {
 constexpr std::size_t kChunk = 1024;
 
 /// One diffusion step; `c` and the four derivative arrays are scratch.
-/// Shared verbatim between golden (serial loops) and the device kernels.
+/// Shared verbatim between golden (per-row pool loops) and the device kernels.
 void diffusion_coefficients(std::size_t rows, std::size_t cols, float q0sqr,
                             const float* J, float* c, float* dN, float* dS,
                             float* dW, float* dE, std::size_t i, std::size_t j) {
@@ -105,21 +105,27 @@ void diffusion_update(std::size_t rows, std::size_t cols, float lambda,
 }  // namespace
 
 void golden(const params& p, std::vector<float>& image) {
+    // The two sweeps run one pool index per row: the coefficient sweep
+    // writes c/dN/dS/dW/dE and reads only the image, the update sweep writes
+    // only the image. The statistics reduction stays serial in chunk order.
+    sl::thread_pool& pool = sl::thread_pool::global();
     std::vector<float> c(p.cells()), dN(p.cells()), dS(p.cells()),
         dW(p.cells()), dE(p.cells());
     for (int iter = 0; iter < p.iterations; ++iter) {
         const stats2 st = image_stats_chunked(image.data(), p.cells(), kChunk);
         const float q0sqr = st.var / (st.mean * st.mean);
-        for (std::size_t i = 0; i < p.rows; ++i)
+        pool.parallel_for(p.rows, [&](std::size_t i) {
             for (std::size_t j = 0; j < p.cols; ++j)
                 diffusion_coefficients(p.rows, p.cols, q0sqr, image.data(),
                                        c.data(), dN.data(), dS.data(),
                                        dW.data(), dE.data(), i, j);
-        for (std::size_t i = 0; i < p.rows; ++i)
+        });
+        pool.parallel_for(p.rows, [&](std::size_t i) {
             for (std::size_t j = 0; j < p.cols; ++j)
                 diffusion_update(p.rows, p.cols, p.lambda, image.data(),
                                  c.data(), dN.data(), dS.data(), dW.data(),
                                  dE.data(), i, j);
+        });
     }
 }
 

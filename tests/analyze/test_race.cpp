@@ -266,7 +266,9 @@ TEST(Races, D1FiresOnAnAccessOutsideEveryDeclaredRange) {
     const report r = run_all(rec);
     ASSERT_TRUE(has_rule(r, "ALS-D1")) << render(r);
     for (const finding& f : r.findings()) {
-        if (f.rule == "ALS-D1") EXPECT_EQ(f.kernel, "drifter");
+        if (f.rule == "ALS-D1") {
+            EXPECT_EQ(f.kernel, "drifter");
+        }
     }
 }
 

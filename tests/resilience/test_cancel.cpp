@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
+#include "apps/cfd/cfd.hpp"
 #include "fault/inject.hpp"
 #include "fault/retry.hpp"
 #include "fault/spec.hpp"
@@ -163,6 +165,25 @@ TEST_F(Cancel, SerialParallelForObservesMaskedCheckpoints) {
                  cancelled_error);
     EXPECT_LT(executed.load(), 100000);
     EXPECT_GE(executed.load(), 2000);
+}
+
+TEST_F(Cancel, DeadlineCancelsGoldenReferenceWithinBudget) {
+    // A size-2 cfd host reference runs for seconds; its per-element loops go
+    // through the pool, whose chunk claims observe the deadline.
+    const apps::cfd::params p = apps::cfd::params::preset(2);
+    const apps::cfd::mesh m = apps::cfd::make_mesh(p);
+    std::vector<float> vars = apps::cfd::initial_variables<float>(p);
+    const auto start = steady_clock::now();
+    {
+        deadline_scope scope(50.0);
+        try {
+            apps::cfd::golden(p, m, vars);
+            FAIL() << "golden() ran to completion past its deadline";
+        } catch (const cancelled_error& e) {
+            EXPECT_EQ(e.reason(), cancel_reason::deadline);
+        }
+    }
+    EXPECT_LT(steady_clock::now() - start, milliseconds(1000));
 }
 
 TEST_F(Cancel, StatusLabelRoundTrip) {

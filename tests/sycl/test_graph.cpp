@@ -343,7 +343,13 @@ void run_seeded_dag(queue& q, std::deque<buffer<int>>& bufs,
             h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)),
                            stats("mix"), [=](nd_item<1> it) {
                                const std::size_t i = it.get_global_id(0);
-                               ad[i] = ad[i] * 31 + as[i] + k;
+                               // Mixed in unsigned: the values overflow
+                               // int after a few ops, and wraparound is
+                               // only defined for unsigned arithmetic.
+                               ad[i] = static_cast<int>(
+                                   static_cast<unsigned>(ad[i]) * 31u +
+                                   static_cast<unsigned>(as[i]) +
+                                   static_cast<unsigned>(k));
                            });
         });
     }
