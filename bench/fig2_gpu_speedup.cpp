@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
     altis::trace::cli_harness trace_harness("fig2_gpu_speedup");
     if (const int rc = trace_harness.parse(argc, argv); rc >= 0) return rc;
 
-    const auto& policy = trace_harness.retry_policy();
-    const bool fail_fast = trace_harness.fail_fast();
-    const bool injecting = trace_harness.fault_options().enabled();
+    const auto& policy = trace_harness.flags().fault.policy;
+    const bool fail_fast = trace_harness.flags().fault.fail_fast;
+    const bool injecting = trace_harness.flags().fault.enabled();
     altis::resilience::supervisor* sup = trace_harness.supervisor();
 
     std::cout << "Figure 2: Speedup of Altis-SYCL over Altis (CUDA) on the "

@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
     using altis::Variant;
     namespace bench = altis::bench;
 
-    const auto& policy = trace_harness.retry_policy();
-    const bool fail_fast = trace_harness.fail_fast();
-    const bool injecting = trace_harness.fault_options().enabled();
+    const auto& policy = trace_harness.flags().fault.policy;
+    const bool fail_fast = trace_harness.flags().fault.fail_fast;
+    const bool injecting = trace_harness.flags().fault.enabled();
     altis::resilience::supervisor* sup = trace_harness.supervisor();
 
     std::cout << "Figure 4: Speedup of FPGA Optimized over FPGA Baseline on "

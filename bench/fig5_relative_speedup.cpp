@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
     namespace perf = altis::perf;
     namespace fault = altis::fault;
 
-    const auto& policy = trace_harness.retry_policy();
-    const bool fail_fast = trace_harness.fail_fast();
-    const bool injecting = trace_harness.fault_options().enabled();
+    const auto& policy = trace_harness.flags().fault.policy;
+    const bool fail_fast = trace_harness.flags().fault.fail_fast;
+    const bool injecting = trace_harness.flags().fault.enabled();
     altis::resilience::supervisor* sup = trace_harness.supervisor();
     const bool log_all = injecting || sup != nullptr;
 
@@ -89,9 +89,8 @@ int main(int argc, char** argv) {
                 for (std::size_t d = 0; d < 5; ++d) {
                     const double pv =
                         e.paper_fig5[d][static_cast<std::size_t>(size - 1)];
-                    paper += (d > 0 ? "/" : "") +
-                             (pv > 0.0 ? Table::num(pv, 2)
-                                       : std::string("crash"));
+                    if (d > 0) paper += '/';
+                    paper += pv > 0.0 ? Table::num(pv, 2) : "crash";
                 }
                 row.push_back(std::move(paper));
                 t.add_row(std::move(row));

@@ -19,15 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "analyze/options.hpp"
-#include "analyze/recorder.hpp"
 #include "apps/common/app.hpp"
 #include "apps/common/suite.hpp"
 #include "core/option_parser.hpp"
 #include "core/registry.hpp"
 #include "core/result_database.hpp"
-#include "metrics/options.hpp"
-#include "metrics/session.hpp"
+#include "trace/harness.hpp"
 
 namespace {
 
@@ -55,42 +52,28 @@ int main(int argc, char** argv) {
                     "cuda | sycl_base | sycl_opt | fpga_base | fpga_opt");
     opts.add_flag("functional-only", "skip the descriptor (perf-lint) pass");
     opts.add_flag("descriptors-only", "skip the functional (hazard) pass");
-    analyze::add_sanitize_options(opts);
-    metrics::add_metrics_options(opts);
+    constexpr unsigned sections = trace::sanitize_flags | trace::metrics_flags;
+    trace::add_harness_flags(opts, sections);
 
-    analyze::options aopts;
+    trace::harness_options flags;
+    RunConfig cfg;
     try {
         if (!opts.parse(argc, argv, std::cout)) return 0;
-        aopts = analyze::options::from(opts);
+        flags = trace::read_harness_flags(opts, sections);
+        cfg = apps::read_run_config(opts);
     } catch (const OptionError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
     // A lint tool always lints: --sanitize only picks warn (default, report
     // and exit 0) vs error (any warning-or-worse finding fails the run).
+    analyze::options& aopts = flags.sanitize;
     if (aopts.lv == analyze::level::off) aopts.lv = analyze::level::warn;
+    cfg.passes = 1;  // one pass captures the full command graph
+    const perf::device_spec& dev = perf::device_by_name(cfg.device);
 
     apps::register_all_apps();
     auto& registry = Registry::instance();
-
-    RunConfig cfg;
-    cfg.size = static_cast<int>(opts.get_int("size"));
-    cfg.device = opts.get_string("device");
-    cfg.passes = 1;  // one pass captures the full command graph
-    const std::string vname = opts.get_string("variant");
-    bool found = false;
-    for (const Variant v : {Variant::cuda, Variant::sycl_base, Variant::sycl_opt,
-                            Variant::fpga_base, Variant::fpga_opt}) {
-        if (vname == to_string(v)) {
-            cfg.variant = v;
-            found = true;
-        }
-    }
-    if (!found) {
-        std::cerr << "error: unknown variant " << vname << "\n";
-        return 2;
-    }
-    const perf::device_spec& dev = perf::device_by_name(cfg.device);
 
     std::vector<std::string> targets = opts.positional();
     if (targets.empty()) {
@@ -111,7 +94,7 @@ int main(int argc, char** argv) {
 
     // The functional pass executes real kernels, so --metrics reports the
     // engine telemetry of the lint run like any other harness binary.
-    const metrics::options mopts = metrics::options::from(opts);
+    const metrics::options& mopts = flags.metrics;
     std::optional<metrics::session> msession;
     if (mopts.enabled()) msession.emplace("altis_lint");
 

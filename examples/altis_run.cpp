@@ -12,23 +12,15 @@
 //   ./examples/altis_run all --resume run.jsonl           # continue after kill
 #include <algorithm>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
-#include "analyze/options.hpp"
-#include "analyze/recorder.hpp"
 #include "apps/common/app.hpp"
 #include "core/option_parser.hpp"
 #include "core/registry.hpp"
 #include "core/result_database.hpp"
 #include "fault/inject.hpp"
-#include "fault/options.hpp"
-#include "metrics/options.hpp"
-#include "metrics/session.hpp"
 #include "resilience/cancel.hpp"
-#include "resilience/options.hpp"
-#include "resilience/supervisor.hpp"
-#include "trace/options.hpp"
+#include "trace/harness.hpp"
 
 namespace {
 
@@ -53,62 +45,23 @@ void restore_series(const std::vector<altis::resilience::journal_series>& in,
 int main(int argc, char** argv) {
     using namespace altis;
 
-    OptionParser opts;
+    trace::cli_harness h("altis_run");
+    OptionParser& opts = h.parser();
     add_standard_options(opts);
     opts.add_option("variant", "sycl_opt",
                     "cuda | sycl_base | sycl_opt | fpga_base | fpga_opt");
     opts.add_flag("csv", "dump raw trial values as CSV");
     opts.add_flag("json", "dump results as JSON");
     opts.add_flag("list", "list registered applications and exit");
-    trace::add_trace_options(opts);
-    fault::add_fault_options(opts);
-    analyze::add_sanitize_options(opts);
-    metrics::add_metrics_options(opts);
-    resilience::add_resilience_options(opts);
-
-    // Every value-carrying option is range-checked here: a malformed or
-    // out-of-range value is one clear line on stderr and exit code 2.
-    analyze::options aopts;
-    fault::options fopts;
-    trace::options topts;
-    metrics::options mopts;
-    resilience::options ropts;
-    try {
-        if (!opts.parse(argc, argv, std::cout)) return 0;
-        aopts = analyze::options::from(opts);
-        fopts = fault::options::from(opts);
-        topts = trace::options::from(opts);
-        mopts = metrics::options::from(opts);
-        ropts = resilience::options::from(opts);
-    } catch (const OptionError& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    }
-
-    fault::plan fplan;
-    try {
-        fplan = fopts.make_plan();
-    } catch (const fault::spec_error& e) {
-        std::cerr << "error: bad --inject spec: " << e.what() << "\n";
-        return 2;
-    }
-    std::optional<fault::scope> fscope;
-    if (fopts.enabled()) fscope.emplace(fplan);
+    if (int rc = h.parse(argc, argv); rc >= 0) return rc;
+    const fault::options& fopts = h.flags().fault;
+    resilience::supervisor* sup = h.supervisor();
+    trace::session& tsession = h.trace_session();
 
     // SIGINT/SIGTERM turn into cooperative cancellation: the running config
     // unwinds at its next checkpoint, the loop below breaks, and the partial
     // report plus the (already fsync'd) journal survive the exit.
     resilience::install_signal_cancellation();
-    std::optional<resilience::supervisor> supervisor;
-    if (ropts.enabled()) {
-        try {
-            supervisor.emplace(ropts, "altis_run");
-        } catch (const std::runtime_error& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-    resilience::supervisor* sup = supervisor ? &*supervisor : nullptr;
 
     apps::register_all_apps();
     auto& registry = Registry::instance();
@@ -124,20 +77,10 @@ int main(int argc, char** argv) {
     }
 
     RunConfig cfg;
-    cfg.size = static_cast<int>(opts.get_int("size"));
-    cfg.device = opts.get_string("device");
-    cfg.passes = static_cast<int>(opts.get_int("passes"));
-    const std::string vname = opts.get_string("variant");
-    bool found = false;
-    for (const Variant v : {Variant::cuda, Variant::sycl_base, Variant::sycl_opt,
-                            Variant::fpga_base, Variant::fpga_opt}) {
-        if (vname == to_string(v)) {
-            cfg.variant = v;
-            found = true;
-        }
-    }
-    if (!found) {
-        std::cerr << "error: unknown variant " << vname << "\n";
+    try {
+        cfg = apps::read_run_config(opts);
+    } catch (const OptionError& e) {
+        std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
 
@@ -150,25 +93,6 @@ int main(int argc, char** argv) {
     if (targets.size() == 1 && targets[0] == "all") {
         targets.clear();
         for (const auto& app : registry.apps()) targets.push_back(app.name);
-    }
-
-    // With --trace/--profile active, every queue the apps construct emits
-    // spans into this session; each app run becomes a top-level region span.
-    trace::session tsession("altis_run");
-    trace::session::scope tscope(tsession);
-
-    // With --metrics active, the execution engine's wall-clock telemetry
-    // (queue/pool/pipe/allocator instruments) collects for the whole run.
-    std::optional<metrics::session> msession;
-    if (mopts.enabled()) msession.emplace("altis_run");
-
-    // With --sanitize active, every queue the apps construct feeds the
-    // command graph of this recorder; the passes run after the loop.
-    std::optional<analyze::recorder> sanitizer;
-    std::optional<analyze::recorder::scope> sanitize_scope;
-    if (aopts.enabled()) {
-        sanitizer.emplace(aopts.lv);
-        sanitize_scope.emplace(*sanitizer);
     }
 
     // Outcomes are recorded only when they carry information (injection
@@ -324,36 +248,11 @@ int main(int argc, char** argv) {
     else
         db.dump_summary(std::cout);
 
-    int sanitize_rc = 0;
-    if (sanitizer) {
-        sanitize_scope.reset();
-        analyze::span_sink sink;
-        if (topts.enabled())
-            sink = [&](const analyze::finding& f) {
-                const double t = tsession.last_end_ns();
-                trace::span s;
-                s.name = "sanitize " + f.rule + ": " + f.message;
-                s.start_ns = t;
-                s.end_ns = t;
-                s.status = trace::span_status::failed;
-                tsession.record(std::move(s));
-            };
-        sanitize_rc =
-            analyze::finish(*sanitizer, aopts, std::cout, std::cerr, sink);
-        if (sanitize_rc == 2) return 2;
-    }
-    // Stop metrics first so the finished series can merge into the Perfetto
-    // export as counter tracks.
-    if (msession) msession->stop();
-    if (topts.enabled() &&
-        !trace::finish_session(tsession, topts, tsession.last_end_ns(),
-                               std::cout, std::cerr,
-                               msession ? &*msession : nullptr))
-        return 2;
-    if (msession &&
-        !metrics::finish_metrics(*msession, mopts, std::cout, std::cerr))
-        return 2;
+    // An unwritable artifact (exit 2) outranks an interrupt, which outranks
+    // failed configurations, which outrank sanitize findings.
+    const int rc = h.finish();
+    if (rc == 2) return 2;
     if (interrupted) return 128 + resilience::interrupt_signal();
     if (failures != 0) return 1;
-    return sanitize_rc;
+    return rc;
 }

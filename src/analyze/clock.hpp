@@ -55,7 +55,7 @@ public:
 
 private:
     void grow(std::size_t actor) {
-        if (actor >= c_.size()) c_.resize(actor + 1, 0);
+        if (actor >= c_.size()) c_.resize(actor + 1);
     }
 
     std::vector<std::uint64_t> c_;

@@ -1,5 +1,5 @@
-// Shared CLI/env wiring for the sanitizer, mirroring trace/options.hpp so
-// every harness binary behaves identically:
+// Sanitizer settings and teardown shared by every harness binary; the
+// settings come from the shared flag table (trace/harness.hpp):
 //
 //   --sanitize <off|warn|error>   capture the command graph and lint it at
 //                                 exit; `error` turns any warning-or-worse
@@ -23,13 +23,7 @@
 
 #include "analyze/recorder.hpp"
 
-namespace altis {
-class OptionParser;
-}
-
 namespace altis::analyze {
-
-void add_sanitize_options(OptionParser& opts);
 
 struct options {
     level lv = level::off;
@@ -38,10 +32,6 @@ struct options {
     std::string baseline_path;
 
     [[nodiscard]] bool enabled() const { return lv != level::off; }
-    /// Reads --sanitize/--sanitize-json/--sanitize-sarif/--sanitize-baseline,
-    /// falling back to $ALTIS_SANITIZE. Throws OptionError on an unknown
-    /// level name.
-    [[nodiscard]] static options from(const OptionParser& opts);
 };
 
 /// Callback the harness uses to mirror findings onto another sink (e.g.

@@ -1,5 +1,8 @@
 #include "apps/common/app.hpp"
 
+#include <algorithm>
+
+#include "core/option_parser.hpp"
 #include "core/result_database.hpp"
 
 namespace altis::apps {
@@ -23,6 +26,27 @@ void register_standard_app(std::string name, std::string description,
         }
     };
     Registry::instance().add(std::move(info));
+}
+
+RunConfig read_run_config(const OptionParser& opts) {
+    RunConfig cfg;
+    cfg.size = static_cast<int>(opts.get_int("size"));
+    cfg.device = opts.get_string("device");
+    cfg.passes = static_cast<int>(opts.get_int("passes"));
+    const auto devices = perf::device_catalog();
+    if (std::none_of(devices.begin(), devices.end(),
+                     [&](const perf::device_spec& d) {
+                         return d.name == cfg.device;
+                     }))
+        throw OptionError("--device: unknown device '" + cfg.device + "'");
+    const std::string vname = opts.get_string("variant");
+    for (const Variant v : {Variant::cuda, Variant::sycl_base, Variant::sycl_opt,
+                            Variant::fpga_base, Variant::fpga_opt})
+        if (vname == to_string(v)) {
+            cfg.variant = v;
+            return cfg;
+        }
+    throw OptionError("--variant: unknown variant '" + vname + "'");
 }
 
 }  // namespace altis::apps

@@ -10,6 +10,10 @@
 #include "perf/device.hpp"
 #include "perf/overhead.hpp"
 
+namespace altis {
+class OptionParser;
+}
+
 namespace altis::apps {
 
 struct AppResult {
@@ -49,6 +53,11 @@ void register_standard_app(std::string name, std::string description,
 
 /// Registers every application in the suite (idempotent).
 void register_all_apps();
+
+/// The run configuration a suite CLI's parsed --size/--device/--passes/
+/// --variant select. Throws OptionError naming the flag on an unknown
+/// device or variant.
+[[nodiscard]] RunConfig read_run_config(const OptionParser& opts);
 
 /// Opt-in for the out-of-order graph scheduler in apps that were ported to
 /// explicit event dependencies (fdtd2d, cfd): ALTIS_OOO=1 in the

@@ -1,36 +1,20 @@
-// Shared CLI/env wiring for fault injection and the resilient harness; every
-// harness binary (altis_run, the fig*/table* regenerators) registers the
-// same options:
-//
-//   --inject <spec>        activate a fault plan (grammar: fault/spec.hpp);
-//                          defaults to $ALTIS_FAULT when the env var is set
-//   --fail-fast            rethrow the first unrecoverable failure instead of
-//                          recording it and continuing the sweep
-//   --retries N            max attempts per configuration (default 3)
-//   --retry-backoff-ms B   base backoff before the first retry (default 25)
+// Fault-injection and retry settings of a harness run, filled from the
+// shared flag table (--inject/$ALTIS_FAULT, --fail-fast, --retries,
+// --retry-backoff-ms; see trace/harness.hpp and README "Command-line flags").
 #pragma once
 
 #include <string>
 
-#include "core/option_parser.hpp"
 #include "fault/retry.hpp"
-#include "fault/spec.hpp"
 
 namespace altis::fault {
 
-void add_fault_options(OptionParser& opts);
-
 struct options {
-    std::string spec;  ///< empty: no injection
+    std::string spec;  ///< empty: no injection (grammar: fault/spec.hpp)
     bool fail_fast = false;
     retry_policy policy;
 
     [[nodiscard]] bool enabled() const { return !spec.empty(); }
-    /// Reads the registered options (and $ALTIS_FAULT). Does not validate
-    /// the spec; call make_plan() for that.
-    [[nodiscard]] static options from(const OptionParser& opts);
-    /// Compiles the spec (empty spec -> empty plan). Throws spec_error.
-    [[nodiscard]] plan make_plan() const;
 };
 
 }  // namespace altis::fault

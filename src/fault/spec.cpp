@@ -116,12 +116,20 @@ bool retryable(op_kind k) {
 
 std::string rule::text() const {
     std::string s = to_string(kind);
-    if (!match.empty()) s += ":" + match;
+    if (!match.empty()) {
+        s += ':';
+        s += match;
+    }
     if (probability >= 0.0) {
-        s += "%" + std::to_string(probability);
+        s += '%';
+        s += std::to_string(probability);
     } else {
-        s += "@" + std::to_string(nth);
-        if (times != 1) s += "x" + std::to_string(times);
+        s += '@';
+        s += std::to_string(nth);
+        if (times != 1) {
+            s += 'x';
+            s += std::to_string(times);
+        }
     }
     return s;
 }

@@ -1,34 +1,11 @@
 #include "metrics/options.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
 #include "metrics/export.hpp"
 
 namespace altis::metrics {
-
-void add_metrics_options(OptionParser& opts) {
-    opts.add_flag("metrics",
-                  "collect wall-clock runtime telemetry (default: on when "
-                  "$ALTIS_METRICS is set)");
-    opts.add_option("metrics-prom", "",
-                    "write Prometheus text exposition to <file> (implies "
-                    "--metrics)");
-    opts.add_option("metrics-json", "",
-                    "write metrics snapshot + series JSON to <file> (implies "
-                    "--metrics)");
-}
-
-options options::from(const OptionParser& opts) {
-    options o;
-    o.metrics = opts.get_flag("metrics");
-    if (const char* env = std::getenv("ALTIS_METRICS"))
-        if (*env != '\0' && std::string(env) != "0") o.metrics = true;
-    o.prom_path = opts.get_string("metrics-prom");
-    o.json_path = opts.get_string("metrics-json");
-    return o;
-}
 
 bool finish_metrics(session& s, const options& opt, std::ostream& out,
                     std::ostream& err) {

@@ -1,5 +1,5 @@
-// Shared CLI/env wiring for wall-clock metrics, following the trace/fault
-// options pattern so every harness binary behaves identically:
+// Wall-clock metrics settings and teardown shared by every harness binary;
+// the settings come from the shared flag table (trace/harness.hpp):
 //
 //   --metrics              collect runtime telemetry and print a summary of
 //                          the non-zero metrics after the run; defaults on
@@ -15,12 +15,9 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/option_parser.hpp"
 #include "metrics/session.hpp"
 
 namespace altis::metrics {
-
-void add_metrics_options(OptionParser& opts);
 
 struct options {
     bool metrics = false;
@@ -30,7 +27,6 @@ struct options {
     [[nodiscard]] bool enabled() const {
         return metrics || !prom_path.empty() || !json_path.empty();
     }
-    [[nodiscard]] static options from(const OptionParser& opts);
 };
 
 /// Stops the session, writes the requested artifacts and prints the summary

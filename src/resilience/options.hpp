@@ -1,28 +1,14 @@
-// Shared CLI/env wiring for the sweep supervisor; every harness binary
-// (altis_run, the fig* regenerators) registers the same options:
-//
-//   --deadline-ms D        per-configuration wall-clock budget; a config
-//                          that overruns is cancelled cooperatively and
-//                          recorded as `deadline` (default:
-//                          $ALTIS_DEADLINE_MS, else 0 = no deadline)
-//   --journal <path>       write a crash-safe JSONL checkpoint per
-//                          completed configuration
-//   --resume <path>        replay completed configurations from a journal
-//                          and continue (appending to the same file)
-//   --breaker-threshold N  consecutive hard failures before a config key
-//                          is quarantined (0 disables; default 3)
-//   --breaker-cooldown N   quarantined encounters before a half-open
-//                          probe (default 2)
+// Sweep-supervisor settings of a harness run, filled from the shared flag
+// table (--deadline-ms/$ALTIS_DEADLINE_MS, --journal, --resume,
+// --breaker-threshold, --breaker-cooldown; see trace/harness.hpp and README
+// "Command-line flags").
 #pragma once
 
 #include <string>
 
-#include "core/option_parser.hpp"
 #include "resilience/breaker.hpp"
 
 namespace altis::resilience {
-
-void add_resilience_options(OptionParser& opts);
 
 struct options {
     double deadline_ms = 0.0;  ///< 0: no deadline
@@ -36,12 +22,6 @@ struct options {
         return deadline_ms > 0.0 || !journal_path.empty() ||
                !resume_path.empty();
     }
-
-    /// Reads the registered options (and $ALTIS_DEADLINE_MS), validating
-    /// ranges: negative, non-finite or absurd values throw OptionError so
-    /// the harness exits 2 with one clear line instead of misbehaving
-    /// later.
-    [[nodiscard]] static options from(const OptionParser& opts);
 };
 
 }  // namespace altis::resilience

@@ -1,11 +1,19 @@
-// One-stop CLI harness for binaries whose only options are the trace ones
-// (the bench fig*/table* regenerators): owns the OptionParser, the session
-// and its activation, so a bench main() is three lines of wiring:
+// One-stop CLI harness for the harness binaries (altis_run and the bench
+// fig*/table* regenerators): owns the OptionParser with the shared flag
+// table registered, the trace session and every subsystem the flags switch
+// on, so a bench main() is three lines of wiring:
 //
 //   altis::trace::cli_harness h("fig3_kmeans_pipes");
 //   if (int rc = h.parse(argc, argv); rc >= 0) return rc;
 //   ... existing body (simulate_region / queues pick the session up) ...
 //   return h.finish();
+//
+// A binary with flags of its own registers them on parser() before parse().
+//
+// The shared flag table is one row per flag (name, env var, default, help,
+// kind, range; see core/option_parser.hpp), grouped in sections. Every
+// value resolves argv -> env -> default, and one check rejects a bad value
+// naming where it came from. README's "Command-line flags" lists the rows.
 #pragma once
 
 #include <optional>
@@ -25,74 +33,66 @@
 
 namespace altis::trace {
 
+/// Sections of the shared flag table; a binary may register a subset.
+enum flag_section : unsigned {
+    trace_flags = 1U << 0U,       ///< --trace, --profile
+    fault_flags = 1U << 1U,       ///< --inject, --fail-fast, --retries, ...
+    sanitize_flags = 1U << 2U,    ///< --sanitize, --sanitize-json, ...
+    metrics_flags = 1U << 3U,     ///< --metrics, --metrics-prom, ...
+    resilience_flags = 1U << 4U,  ///< --deadline-ms, --journal, --resume, ...
+    all_flags = (1U << 5U) - 1U,
+};
+
+/// Every subsystem's settings, as the shared flags set them.
+struct harness_options {
+    trace::options trace;
+    fault::options fault;
+    analyze::options sanitize;
+    metrics::options metrics;
+    resilience::options resilience;
+};
+
+/// Registers the shared table's rows of `sections` on `p` (before parse()).
+void add_harness_flags(OptionParser& p, unsigned sections = all_flags);
+
+/// Fills the settings from a parsed `p` that registered `sections`; the
+/// other sections keep their defaults.
+[[nodiscard]] harness_options read_harness_flags(const OptionParser& p,
+                                                 unsigned sections = all_flags);
+
 class cli_harness {
 public:
+    /// Registers the whole shared flag table on parser().
     explicit cli_harness(std::string name);
 
-    /// Parses argv (handling --help and unknown options). Returns a process
-    /// exit code when main should return immediately, -1 to continue. When
-    /// tracing is requested, the session becomes current here.
+    /// Parses argv (handling --help, unknown options and bad values: exit
+    /// code 2) and switches on what the flags ask for, for the binary's
+    /// lifetime: a supervisor (--deadline-ms/--journal/--resume; validates a
+    /// --resume journal against the harness name and installs SIGINT/SIGTERM
+    /// cooperative cancellation), the sanitizer recorder, the compiled fault
+    /// plan (a malformed spec is exit code 2), a metrics session and the
+    /// current trace session (only with --trace/--profile). Returns a process
+    /// exit code when main should return immediately, -1 to continue.
     [[nodiscard]] int parse(int argc, char** argv);
 
-    /// Runs the sanitizer (when --sanitize was given) and exports
-    /// trace/profile artifacts if requested. Returns the process exit code
-    /// (0; 1 when --sanitize=error found problems; 2 when an artifact could
-    /// not be written).
+    /// Runs the sanitizer, then stops metrics (so its series merge into the
+    /// trace as counter tracks), then exports the trace/profile and metrics
+    /// artifacts that were requested. Returns the process exit code: 2 when
+    /// an artifact could not be written (or the sanitize baseline read), else
+    /// 1 when --sanitize=error found problems, else 0.
     [[nodiscard]] int finish();
 
     [[nodiscard]] OptionParser& parser() { return opts_; }
     [[nodiscard]] session& trace_session() { return session_; }
-
-    /// Fault/resilience options parsed from the shared flags (--inject,
-    /// --fail-fast, --retries, --retry-backoff-ms). When --inject is given
-    /// (or $ALTIS_FAULT is set), parse() compiles the plan and makes it the
-    /// process-wide active plan for the binary's lifetime; a malformed spec
-    /// is a usage error (exit code 2).
-    [[nodiscard]] const fault::options& fault_options() const { return fopts_; }
-    [[nodiscard]] const fault::retry_policy& retry_policy() const {
-        return fopts_.policy;
-    }
-    [[nodiscard]] bool fail_fast() const { return fopts_.fail_fast; }
-
-    /// Sanitize options parsed from --sanitize/--sanitize-json. When
-    /// enabled, parse() installs a process-wide analyze::recorder for the
-    /// binary's lifetime and finish() runs the passes over the captured
-    /// command graph.
-    [[nodiscard]] const analyze::options& sanitize_options() const {
-        return aopts_;
-    }
-
-    /// Wall-clock metrics options parsed from --metrics/--metrics-prom/
-    /// --metrics-json ($ALTIS_METRICS forces collection on). When enabled,
-    /// parse() starts a metrics::session; finish() stops it before the trace
-    /// export so the sampled series merge into the Perfetto file as counter
-    /// tracks, then writes the requested exports.
-    [[nodiscard]] const metrics::options& metrics_options() const {
-        return mopts_;
-    }
-    [[nodiscard]] metrics::session* metrics_session() {
-        return msession_ ? &*msession_ : nullptr;
-    }
-
-    /// Resilience options parsed from --deadline-ms/--journal/--resume/
-    /// --breaker-* ($ALTIS_DEADLINE_MS). When any supervisor feature is
-    /// requested, parse() constructs the supervisor (validating a --resume
-    /// journal against the harness name; a mismatch is exit code 2) and
-    /// installs SIGINT/SIGTERM cooperative cancellation.
-    [[nodiscard]] const resilience::options& resilience_options() const {
-        return ropts_;
-    }
+    [[nodiscard]] const harness_options& flags() const { return flags_; }
+    /// Null unless a supervisor feature was requested.
     [[nodiscard]] resilience::supervisor* supervisor() {
         return supervisor_ ? &*supervisor_ : nullptr;
     }
 
 private:
     OptionParser opts_;
-    trace::options topts_;
-    fault::options fopts_;
-    analyze::options aopts_;
-    metrics::options mopts_;
-    resilience::options ropts_;
+    harness_options flags_;
     std::optional<resilience::supervisor> supervisor_;
     std::optional<fault::plan> plan_;
     std::optional<fault::scope> fault_scope_;

@@ -1,6 +1,5 @@
 #include "trace/options.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
@@ -8,21 +7,6 @@
 #include "trace/profile.hpp"
 
 namespace altis::trace {
-
-void add_trace_options(OptionParser& opts) {
-    const char* env = std::getenv("ALTIS_TRACE");
-    opts.add_option("trace", env != nullptr ? env : "",
-                    "write Chrome trace-event JSON to <file> "
-                    "(default: $ALTIS_TRACE)");
-    opts.add_flag("profile", "print the per-kernel profile after the run");
-}
-
-options options::from(const OptionParser& opts) {
-    options o;
-    o.trace_path = opts.get_string("trace");
-    o.profile = opts.get_flag("profile");
-    return o;
-}
 
 bool finish_session(session& s, const options& opt, double end_ns,
                     std::ostream& out, std::ostream& err,

@@ -1,7 +1,6 @@
-// Shared CLI/env wiring for the trace subsystem: every harness binary
-// (altis_run, the fig*/table* bench regenerators) registers the same two
-// options and calls the same teardown, so tracing behaves identically
-// everywhere:
+// Trace export settings and teardown shared by every harness binary
+// (altis_run, the fig*/table* bench regenerators). The settings come from
+// the shared flag table (trace/harness.hpp):
 //
 //   --trace <file>   write a Chrome trace-event JSON (Perfetto-loadable);
 //                    defaults to $ALTIS_TRACE when the env var is set
@@ -12,7 +11,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/option_parser.hpp"
 #include "trace/session.hpp"
 
 namespace altis::metrics {
@@ -21,14 +19,11 @@ class session;
 
 namespace altis::trace {
 
-void add_trace_options(OptionParser& opts);
-
 struct options {
     std::string trace_path;  ///< empty: no trace file
     bool profile = false;
 
     [[nodiscard]] bool enabled() const { return !trace_path.empty() || profile; }
-    [[nodiscard]] static options from(const OptionParser& opts);
 };
 
 /// Close any still-open regions at `end_ns`, write the trace file and/or the

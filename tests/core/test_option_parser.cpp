@@ -55,7 +55,7 @@ TEST(OptionParser, MissingValueThrows) {
 
 TEST(OptionParser, NonNumericIntThrows) {
     OptionParser p;
-    add_standard_options(p);
+    p.add_option("size", "1", "an untyped option: parse() does not check it");
     std::ostringstream os;
     auto args = argv_of({"--size", "big"});
     ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data(), os));

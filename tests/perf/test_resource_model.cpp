@@ -7,7 +7,7 @@ namespace {
 
 kernel_stats base_kernel() {
     kernel_stats k;
-    k.name = "k";
+    k.name = std::string("k");
     k.form = kernel_form::nd_range;
     k.global_items = 1 << 20;
     k.wg_size = 64;

@@ -1,8 +1,10 @@
 // Exporters and CLI wiring: the Chrome trace-event JSON must survive a
 // round trip through a strict parser, the profile's aggregate math must
-// reproduce the session's counters, and the --trace/--profile/$ALTIS_TRACE
-// plumbing must behave like every harness binary expects.
+// reproduce the session's counters, and the shared flag table (argv -> env
+// -> default, one range check) must behave like every harness binary
+// expects.
 #include "trace/chrome_export.hpp"
+#include "trace/harness.hpp"
 #include "trace/options.hpp"
 #include "trace/profile.hpp"
 
@@ -11,7 +13,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sycl/syclite.hpp"
 #include "support/mini_json.hpp"
@@ -266,38 +272,185 @@ TEST(Profile, TableRendersKernelsAndOverlapNote) {
     EXPECT_NE(text.find("dataflow overlap"), std::string::npos);
 }
 
-TEST(TraceOptions, FlagsParseAndEnvProvidesDefault) {
-    {
-        OptionParser opts;
-        add_trace_options(opts);
-        const char* argv[] = {"bin", "--trace", "/tmp/t.json", "--profile"};
-        std::ostringstream out;
-        ASSERT_TRUE(opts.parse(4, argv, out));
-        const options o = options::from(opts);
-        EXPECT_EQ(o.trace_path, "/tmp/t.json");
-        EXPECT_TRUE(o.profile);
-        EXPECT_TRUE(o.enabled());
+// ---- the shared flag table -------------------------------------------------
+
+// A parser carrying every row a harness binary can register: the standard
+// rows plus the whole shared table.
+OptionParser every_row_parser() {
+    OptionParser p;
+    add_standard_options(p);
+    add_harness_flags(p);
+    return p;
+}
+
+// Parses `args` against a fresh every-row parser; throws what parse() throws.
+OptionParser parsed(std::vector<const char*> args) {
+    OptionParser p = every_row_parser();
+    args.insert(args.begin(), "bin");
+    std::ostringstream out;
+    EXPECT_TRUE(p.parse(static_cast<int>(args.size()), args.data(), out));
+    return p;
+}
+
+std::string str(double v) {
+    std::ostringstream os;
+    os << std::setprecision(15) << v;
+    return os.str();
+}
+
+// Accepted non-default values for a row: one for argv, one for env.
+std::pair<std::string, std::string> sample_values(const option_row& r) {
+    switch (r.kind) {
+        case option_kind::flag: return {"1", "1"};
+        case option_kind::integer:
+        case option_kind::number: {
+            const std::string lo = str(r.min);
+            const std::string hi = str(r.max);
+            return r.def == lo ? std::pair{hi, hi} : std::pair{lo, hi};
+        }
+        case option_kind::text: break;
     }
-    {
-        ::setenv("ALTIS_TRACE", "/tmp/env.json", 1);
-        OptionParser opts;
-        add_trace_options(opts);
-        const char* argv[] = {"bin"};
-        std::ostringstream out;
-        ASSERT_TRUE(opts.parse(1, argv, out));
-        ::unsetenv("ALTIS_TRACE");
-        const options o = options::from(opts);
-        EXPECT_EQ(o.trace_path, "/tmp/env.json");
-        EXPECT_FALSE(o.profile);
-        EXPECT_TRUE(o.enabled());  // env alone turns tracing on
+    if (r.choices.empty()) return {"from-argv", "from-env"};
+    return {r.choices.substr(0, r.choices.find('|')),
+            r.choices.substr(r.choices.rfind('|') + 1)};
+}
+
+// Clears every table env var for the test's duration, restoring it after.
+class clean_env {
+public:
+    clean_env() {
+        for (const option_row& r : every_row_parser().rows()) {
+            if (r.env.empty()) continue;
+            const char* v = std::getenv(r.env.c_str());
+            saved_.emplace_back(r.env, v != nullptr ? std::optional<std::string>(v)
+                                                    : std::nullopt);
+            ::unsetenv(r.env.c_str());
+        }
     }
-    {
-        OptionParser opts;
-        add_trace_options(opts);
-        const char* argv[] = {"bin"};
-        std::ostringstream out;
-        ASSERT_TRUE(opts.parse(1, argv, out));
-        EXPECT_FALSE(options::from(opts).enabled());
+    ~clean_env() {
+        for (const auto& [name, v] : saved_)
+            if (v) ::setenv(name.c_str(), v->c_str(), 1);
+    }
+    clean_env(const clean_env&) = delete;
+    clean_env& operator=(const clean_env&) = delete;
+
+private:
+    std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+std::string flag_arg(const option_row& r) { return "--" + r.name; }
+
+TEST(FlagTable, EveryRowResolvesArgvThenEnvThenDefault) {
+    const clean_env env;
+    for (const option_row& r : every_row_parser().rows()) {
+        SCOPED_TRACE(r.name);
+        EXPECT_EQ(parsed({}).get_string(r.name), r.def);
+
+        const auto [av, ev] = sample_values(r);
+        const std::string arg = flag_arg(r);
+        std::vector<const char*> argv{arg.c_str()};
+        if (r.kind != option_kind::flag) argv.push_back(av.c_str());
+        EXPECT_EQ(parsed(argv).get_string(r.name), av);
+        if (r.env.empty()) continue;
+
+        ::setenv(r.env.c_str(), ev.c_str(), 1);
+        EXPECT_EQ(parsed({}).get_string(r.name), ev) << "env beats default";
+        ::setenv(r.env.c_str(), r.kind == option_kind::flag ? "0" : ev.c_str(),
+                 1);
+        if (r.kind != option_kind::flag) {
+            // argv's value must differ from env's to tell who won.
+            const std::string other = av == ev ? r.def : av;
+            argv.back() = other.c_str();
+            EXPECT_EQ(parsed(argv).get_string(r.name), other)
+                << "argv beats env";
+        } else {
+            EXPECT_EQ(parsed(argv).get_string(r.name), "1") << "argv beats env";
+        }
+        ::unsetenv(r.env.c_str());
+    }
+}
+
+TEST(FlagTable, EnvAloneSwitchesItsSubsystemOn) {
+    const clean_env env;
+    const std::pair<const char*, const char*> cases[] = {
+        {"ALTIS_TRACE", "/tmp/env.json"},
+        {"ALTIS_FAULT", "alloc@1"},
+        {"ALTIS_SANITIZE", "warn"},
+        {"ALTIS_METRICS", "1"},
+        {"ALTIS_DEADLINE_MS", "500"},
+    };
+    for (const auto& [name, value] : cases) {
+        SCOPED_TRACE(name);
+        ::setenv(name, value, 1);
+        const harness_options o = read_harness_flags(parsed({}));
+        ::unsetenv(name);
+        const int on = int{o.trace.enabled()} + int{o.fault.enabled()} +
+                       int{o.sanitize.enabled()} + int{o.metrics.enabled()} +
+                       int{o.resilience.enabled()};
+        EXPECT_EQ(on, 1);
+    }
+    EXPECT_EQ(read_harness_flags(parsed({})).trace.trace_path, "");
+    EXPECT_EQ(read_harness_flags(parsed({"--trace", "/tmp/t.json", "--profile"}))
+                  .trace.trace_path,
+              "/tmp/t.json");
+}
+
+TEST(FlagTable, MetricsEnvZeroStaysOff) {
+    const clean_env env;
+    ::setenv("ALTIS_METRICS", "0", 1);
+    const harness_options o = read_harness_flags(parsed({}));
+    ::unsetenv("ALTIS_METRICS");
+    EXPECT_FALSE(o.metrics.enabled());
+}
+
+TEST(FlagTable, RangedRowsRejectBadValuesNamingTheirOrigin) {
+    const clean_env env;
+    for (const option_row& r : every_row_parser().rows()) {
+        std::vector<std::string> bad;
+        if (r.kind == option_kind::integer || r.kind == option_kind::number)
+            bad = {str(r.min - 1), str(r.max + 1), "abc"};
+        else if (!r.choices.empty())
+            bad = {"abc"};
+        for (const std::string& v : bad) {
+            SCOPED_TRACE(r.name + "=" + v);
+            const std::string arg = flag_arg(r);
+            try {
+                (void)parsed({arg.c_str(), v.c_str()});
+                ADD_FAILURE() << "accepted";
+            } catch (const OptionError& e) {
+                EXPECT_NE(std::string(e.what()).find(arg), std::string::npos)
+                    << e.what();
+            }
+            if (r.env.empty()) continue;
+            ::setenv(r.env.c_str(), v.c_str(), 1);
+            try {
+                (void)parsed({});
+                ADD_FAILURE() << "accepted from env";
+            } catch (const OptionError& e) {
+                EXPECT_NE(std::string(e.what()).find("$" + r.env),
+                          std::string::npos)
+                    << e.what();
+            }
+            ::unsetenv(r.env.c_str());
+        }
+    }
+}
+
+TEST(FlagTable, HelpListsEachRowExactlyOnce) {
+    OptionParser p = every_row_parser();
+    const char* argv[] = {"bin", "--help"};
+    std::ostringstream out;
+    ASSERT_FALSE(p.parse(2, argv, out));
+    for (const option_row& r : p.rows()) {
+        std::istringstream lines(out.str());
+        int seen = 0;
+        for (std::string line; std::getline(lines, line);) {
+            std::istringstream words(line);
+            std::string first;
+            words >> first;
+            if (first == flag_arg(r)) ++seen;
+        }
+        EXPECT_EQ(seen, 1) << r.name;
     }
 }
 
