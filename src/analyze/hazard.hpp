@@ -1,8 +1,9 @@
 // Happens-before hazard detection over a recorded command graph.
 //
-// syclite queues are in-order, so sequential kernel-after-kernel reuse of a
-// buffer is safe; the hazards worth flagging are the ones concurrency or the
-// host introduce:
+// Sequential kernel-after-kernel reuse of a buffer is ordered -- by program
+// order on an in-order queue, by the implied edge the scheduler derives from
+// the same declared ranges on an out-of-order queue -- so the hazards worth
+// flagging are the ones concurrency or the host introduce:
 //
 //   ALS-H1  two kernels of the same dataflow group touch overlapping memory,
 //           at least one writing, with no pipe connecting them (pipes are the

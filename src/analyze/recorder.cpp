@@ -70,15 +70,7 @@ int recorder::begin_group() {
     return next_group_++;
 }
 
-void recorder::end_group(int group, int queue) {
-    std::lock_guard lock(mu_);
-    const auto it = group_members_.find(group);
-    shadow_->on_group_end(queue, it != group_members_.end()
-                                     ? it->second
-                                     : std::vector<int>{});
-}
-
-void recorder::add_node(node n) {
+void recorder::add_node(node n, const std::vector<int>& graph_deps) {
     std::lock_guard lock(mu_);
     if (n.kind == node_kind::kernel && n.cg != 0)
         cg_kernel_[n.cg] = n.kernel;
@@ -91,104 +83,70 @@ void recorder::add_node(node n) {
             if (it != cg_actor_.end()) {
                 n.actor = it->second;
                 shadow_->name_actor(n.actor, n.kernel);
-                shadow_->on_submit(n.actor, n.queue, n.group >= 0);
-                if (n.group >= 0) group_members_[n.group].push_back(n.actor);
+                submit_locked(n.actor, n.queue, n.group >= 0,
+                              n.ooo ? &graph_deps : nullptr);
             }
         }
     }
     graph_.nodes.push_back(std::move(n));
 }
 
-void recorder::add_node_graph(node n, const std::vector<int>& dep_actors) {
-    n.ooo = true;
-    {
-        std::lock_guard lock(mu_);
-        if (n.kind == node_kind::kernel && n.cg != 0) {
-            cg_kernel_[n.cg] = n.kernel;
-            const auto it = cg_actor_.find(n.cg);
-            if (it != cg_actor_.end()) n.actor = it->second;
-        }
-        for (const mem_access& a : n.accesses)
-            shadow_->register_region(a.base, a.bytes);
-        if (n.actor > 0) ooo_members_[n.queue].push_back(n.actor);
+void recorder::submit_locked(int actor, int queue, bool dataflow,
+                             const std::vector<int>* graph_deps) {
+    unjoined& u = unjoined_[queue];
+    if (graph_deps != nullptr) {
+        shadow_->on_submit(actor, *graph_deps);
+    } else {
+        shadow_->on_submit(actor, {u.actors.data(), u.preceding});
+        // The new command covers every actor it joined: those completed
+        // before it started, so joining it later joins them too.
+        if (!dataflow) u.actors.clear();
     }
-    if (n.actor > 0) {
-        shadow_->name_actor(n.actor, n.kernel);
-        shadow_->on_submit_graph(n.actor, dep_actors);
-    }
-    std::lock_guard lock(mu_);
-    graph_.nodes.push_back(std::move(n));
+    u.actors.push_back(actor);
+    if (!dataflow) u.preceding = u.actors.size();
 }
 
-int recorder::record_transfer_graph(int queue, node_kind kind,
-                                    const void* base, std::size_t bytes,
-                                    const std::vector<int>& dep_actors) {
-    const int actor = shadow_->new_actor();
-    shadow_->name_actor(actor, kind == node_kind::transfer_in
-                                   ? "transfer_in"
-                                   : "transfer_out");
-    shadow_->on_transfer_graph(actor, dep_actors, base, bytes,
-                               kind == node_kind::transfer_in);
-    shadow_->register_region(base, bytes);
+int recorder::record_transfer(int queue, node_kind kind, const void* base,
+                              std::size_t bytes,
+                              const std::vector<int>* graph_deps) {
+    const bool in = kind == node_kind::transfer_in;
     node n;
     n.kind = kind;
     n.queue = queue;
-    n.ooo = true;
-    n.actor = actor;
-    n.accesses.push_back({base, bytes,
-                          kind == node_kind::transfer_in ? access::write
-                                                         : access::read,
-                          mem_kind::buffer});
+    n.accesses.push_back(
+        {base, bytes, in ? access::write : access::read, mem_kind::buffer});
     std::lock_guard lock(mu_);
-    ooo_members_[queue].push_back(actor);
+    if (graph_deps != nullptr) {
+        n.ooo = true;
+        n.actor = shadow_->new_actor();
+        shadow_->name_actor(n.actor, in ? "transfer_in" : "transfer_out");
+        submit_locked(n.actor, queue, /*dataflow=*/false, graph_deps);
+    }
+    shadow_->on_transfer(base, bytes, in,
+                         n.ooo ? n.actor : shadow::kHostActor);
+    shadow_->register_region(base, bytes);
+    const int actor = n.actor;
     graph_.nodes.push_back(std::move(n));
     return actor;
 }
 
-void recorder::record_graph_join(int queue) {
-    std::vector<int> members;
-    {
-        std::lock_guard lock(mu_);
-        const auto it = ooo_members_.find(queue);
-        if (it != ooo_members_.end()) members = std::move(it->second);
-        ooo_members_.erase(queue);
-    }
-    shadow_->on_host_join(members);
+void recorder::join_host(int queue) {
+    std::lock_guard lock(mu_);
+    unjoined& u = unjoined_[queue];
+    shadow_->on_host_join(u.actors);
+    u.actors.clear();
+    u.preceding = 0;
 }
 
-void recorder::record_graph_wait_node(int queue, std::size_t pending) {
+void recorder::record_wait(int queue, bool ooo, std::size_t pending) {
+    join_host(queue);
     node n;
     n.kind = node_kind::wait;
     n.queue = queue;
-    n.ooo = true;
+    n.ooo = ooo;
     n.pending = pending;
     std::lock_guard lock(mu_);
     graph_.nodes.push_back(std::move(n));
-}
-
-void recorder::record_host_join_actor(int actor) {
-    if (actor > 0) shadow_->on_host_join({actor});
-}
-
-void recorder::record_wait(int queue) {
-    shadow_->on_wait(queue);
-    node n;
-    n.kind = node_kind::wait;
-    n.queue = queue;
-    add_node(std::move(n));
-}
-
-void recorder::record_transfer(int queue, node_kind kind, const void* base,
-                               std::size_t bytes) {
-    shadow_->on_transfer(base, bytes, kind == node_kind::transfer_in);
-    node n;
-    n.kind = kind;
-    n.queue = queue;
-    n.accesses.push_back({base, bytes,
-                          kind == node_kind::transfer_in ? access::write
-                                                         : access::read,
-                          mem_kind::buffer});
-    add_node(std::move(n));
 }
 
 void recorder::record_usm_alloc(const void* base, std::size_t bytes,

@@ -4,6 +4,12 @@
 // thread-safe -- dataflow kernels retire their command groups from worker
 // threads -- and entirely passive: with no recorder current, the runtime
 // behaves (and times) exactly as before the analyzer existed.
+//
+// Every queue path (in-order, dataflow group, out-of-order graph) calls the
+// same four entry points: add_node for a submission, record_transfer for a
+// copy, join_host for a synchronization and record_wait for queue::wait().
+// The recorder supplies the happens-before dependencies the paths differ in
+// and hands the shadow store one rule (docs/SANITIZER.md).
 #pragma once
 
 #include <cstdint>
@@ -54,39 +60,30 @@ public:
 
     /// Opens a dataflow group; members record the returned id.
     int begin_group();
-    /// Dataflow group joined (worker threads drained): closes the group's
-    /// happens-before edges in the shadow store.
-    void end_group(int group, int queue);
 
-    void add_node(node n);
-    void record_wait(int queue);
-    void record_transfer(int queue, node_kind kind, const void* base,
-                         std::size_t bytes);
-
-    // ---- out-of-order graph capture (DESIGN.md "Command graph") ----
-    // On an OOO queue the submission log is not an execution order, so
-    // happens-before is sourced from the scheduler's real edges instead of
-    // the in-order queue-clock chaining.
-
-    /// Kernel node on an out-of-order queue: `dep_actors` are the shadow
-    /// actors of its resolved graph dependencies (explicit depends_on plus
-    /// accessor-implied conflicts).
-    void add_node_graph(node n, const std::vector<int>& dep_actors);
-    /// Async transfer node on an out-of-order queue; allocates and returns
-    /// the transfer's own shadow actor (ordered after `dep_actors`).
-    int record_transfer_graph(int queue, node_kind kind, const void* base,
-                              std::size_t bytes,
-                              const std::vector<int>& dep_actors);
-    /// Graph join without a wait node (buffer write-back, queue teardown):
-    /// the host joins every outstanding member of `queue`'s graph.
-    void record_graph_join(int queue);
-    /// The wait node for queue::wait() on an OOO queue; `pending` is the
-    /// number of commands in the graph when the join was issued (ALS-L5).
-    /// Call after record_graph_join().
-    void record_graph_wait_node(int queue, std::size_t pending);
-    /// event::wait(): the host joined one node's actor (edges make that
-    /// transitive over the node's dependencies).
-    void record_host_join_actor(int actor);
+    /// Appends a node. A kernel submission also becomes an actor: on an
+    /// out-of-order graph (`n.ooo`) its dependencies are `graph_deps`, the
+    /// shadow actors of the ticket's resolved edges; otherwise the queue's
+    /// own -- the previous command or the last dataflow group's members, and
+    /// for a dataflow member whatever preceded its group.
+    void add_node(node n, const std::vector<int>& graph_deps = {});
+    /// PCIe transfer node. Without `graph_deps` the copy is host-side and
+    /// its range is recorded as a host access; with them it is an
+    /// asynchronous graph copy: its own actor, ordered after those
+    /// dependency actors, with the range recorded under it. Returns that
+    /// actor (-1 for a host-side copy).
+    int record_transfer(int queue, node_kind kind, const void* base,
+                        std::size_t bytes,
+                        const std::vector<int>* graph_deps = nullptr);
+    /// Synchronization with a whole queue (queue::wait, end_dataflow, graph
+    /// join, out-of-order queue teardown): the host joins every actor of
+    /// `queue` it has not joined yet. event::wait joins its one node's actor
+    /// through shadow().on_host_join directly.
+    void join_host(int queue);
+    /// queue::wait(): join_host(queue), then the wait node. `ooo` queues
+    /// record `pending`, the commands in the graph when the join was issued
+    /// (ALS-L5).
+    void record_wait(int queue, bool ooo, std::size_t pending);
     void record_usm_alloc(const void* base, std::size_t bytes,
                           std::uint64_t generation = 0);
     void record_usm_free(const void* base, std::uint64_t generation = 0);
@@ -126,6 +123,11 @@ public:
     };
 
 private:
+    /// Makes `actor` a command of `queue` under the one rule and updates the
+    /// queue's unjoined list. Caller holds mu_.
+    void submit_locked(int actor, int queue, bool dataflow,
+                       const std::vector<int>* graph_deps);
+
     level level_;
     mutable std::mutex mu_;
     command_graph graph_;
@@ -137,9 +139,16 @@ private:
     std::unordered_map<std::uint64_t, probe::cg_token*> live_tokens_;
     std::unordered_map<std::uint64_t, std::string> cg_kernel_;
     std::unordered_map<std::uint64_t, int> cg_actor_;
-    std::unordered_map<int, std::vector<int>> group_members_;
-    /// Actors submitted to a queue's out-of-order graph since its last join.
-    std::unordered_map<int, std::vector<int>> ooo_members_;
+    /// Per queue ordinal: actors the host has not joined yet, in
+    /// submission order. Outside a dataflow group the next in-order command
+    /// depends on all of them and then replaces them; `preceding` counts
+    /// the entries before an open group's members, which are what each
+    /// member depends on.
+    struct unjoined {
+        std::vector<int> actors;
+        std::size_t preceding = 0;
+    };
+    std::unordered_map<int, unjoined> unjoined_;
     /// (cg, base) pairs already reported by the probe (dedup).
     std::vector<std::pair<std::uint64_t, const void*>> stale_reported_;
 };

@@ -195,34 +195,20 @@ void set_current_store(store* s) {
 
 }  // namespace detail
 
-void store::on_submit(int actor, int queue, bool dataflow) {
+void store::on_submit(int actor, std::span<const int> deps) {
     detail::flush_calling_thread(this);
     std::lock_guard lock(mu_);
     if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
     vector_clock& k = actor_clock_[actor];
     k.join(actor_clock_[kHostActor]);  // host clock *before* its tick
-    k.join(queue_clock_[queue]);
-    k.tick(static_cast<std::size_t>(actor));
-    dirty_locked(actor);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-    // In-order queues: a sequential submission chains the queue clock
-    // through the kernel, so the next submission (and wait()) sees it.
-    if (!dataflow) queue_clock_[queue] = k;
-}
-
-void store::on_submit_graph(int actor, const std::vector<int>& dep_actors) {
-    detail::flush_calling_thread(this);
-    std::lock_guard lock(mu_);
-    if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
-    vector_clock& k = actor_clock_[actor];
-    k.join(actor_clock_[kHostActor]);
-    // The scheduler only starts this node after every dependency completed,
-    // so everything a dependency did -- including what it has not flushed
-    // yet, stamped with a clock no newer than read here -- happens-before
-    // this kernel. Joining the dependency's current clock is therefore a
-    // sound (possibly under-approximating, never over-approximating) edge.
-    for (const int d : dep_actors)
+    // Every dependency completes before this command starts (an in-order
+    // predecessor ran synchronously, a dataflow group was joined, a graph
+    // node only dispatches after its edges settle), so everything it did --
+    // including what it has not flushed yet, stamped with a clock no newer
+    // than read here -- happens-before this command. Joining its current
+    // clock is therefore a sound (possibly under-approximating, never
+    // over-approximating) edge.
+    for (const int d : deps)
         if (d > 0 && d < static_cast<int>(actor_clock_.size()))
             k.join(actor_clock_[d]);
     k.tick(static_cast<std::size_t>(actor));
@@ -231,26 +217,7 @@ void store::on_submit_graph(int actor, const std::vector<int>& dep_actors) {
     dirty_locked(kHostActor);
 }
 
-void store::on_transfer_graph(int actor, const std::vector<int>& dep_actors,
-                              const void* base, std::size_t bytes,
-                              bool write) {
-    detail::flush_calling_thread(this);
-    std::lock_guard lock(mu_);
-    if (actor <= 0 || actor >= static_cast<int>(actor_clock_.size())) return;
-    vector_clock& k = actor_clock_[actor];
-    k.join(actor_clock_[kHostActor]);
-    for (const int d : dep_actors)
-        if (d > 0 && d < static_cast<int>(actor_clock_.size()))
-            k.join(actor_clock_[d]);
-    k.tick(static_cast<std::size_t>(actor));
-    dirty_locked(actor);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-    const auto lo = reinterpret_cast<std::uint64_t>(base);
-    push_interval_locked(lo, lo + bytes, actor, write);
-}
-
-void store::on_host_join(const std::vector<int>& actors) {
+void store::on_host_join(std::span<const int> actors) {
     detail::flush_calling_thread(this);
     std::lock_guard lock(mu_);
     for (const int a : actors)
@@ -260,34 +227,12 @@ void store::on_host_join(const std::vector<int>& actors) {
     dirty_locked(kHostActor);
 }
 
-void store::on_group_end(int queue, const std::vector<int>& members) {
-    detail::flush_calling_thread(this);
-    std::lock_guard lock(mu_);
-    vector_clock& q = queue_clock_[queue];
-    for (const int m : members)
-        if (m > 0 && m < static_cast<int>(actor_clock_.size()))
-            q.join(actor_clock_[m]);
-    // end_dataflow() joins the worker threads, so -- unlike a bare kernel
-    // submission, which only synchronizes at wait() -- the host really is
-    // ordered after every member here.
-    actor_clock_[kHostActor].join(q);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-}
-
-void store::on_wait(int queue) {
-    detail::flush_calling_thread(this);
-    std::lock_guard lock(mu_);
-    actor_clock_[kHostActor].join(queue_clock_[queue]);
-    actor_clock_[kHostActor].tick(kHostActor);
-    dirty_locked(kHostActor);
-}
-
-void store::on_transfer(const void* base, std::size_t bytes, bool write) {
+void store::on_transfer(const void* base, std::size_t bytes, bool write,
+                        int actor) {
     detail::flush_calling_thread(this);
     std::lock_guard lock(mu_);
     const auto lo = reinterpret_cast<std::uint64_t>(base);
-    push_interval_locked(lo, lo + bytes, kHostActor, write);
+    push_interval_locked(lo, lo + bytes, actor, write);
 }
 
 void store::register_region(const void* base, std::size_t bytes) {
@@ -331,7 +276,8 @@ void on_pipe_publish(const void* pipe, const char* name, std::uint64_t from,
     s->dirty_locked(actor);
 }
 
-void on_pipe_consume(const void* pipe, const char* name, std::uint64_t from,
+void on_pipe_consume(const void* pipe, const char* name,
+                     std::uint64_t recv_from, std::uint64_t from,
                      std::uint64_t to) {
     store* s = detail::g_store.load(std::memory_order_acquire);
     if (s == nullptr || to <= from) return;
@@ -342,7 +288,13 @@ void on_pipe_consume(const void* pipe, const char* name, std::uint64_t from,
     pipe_log& log = s->pipes_[pipe];
     if (log.name.empty()) log.name = name;
     log.consumer = actor;
-    log.recvs.push_back({from, to});
+    // One record per logical receive: a later chunk of the same read_burst
+    // extends it, so ALS-R2 judges what the kernel asked for, not how much
+    // the producer happened to have published when it asked.
+    if (recv_from < from && !log.recvs.empty())
+        log.recvs.back().to = to;
+    else
+        log.recvs.push_back({from, to});
     // Join the earliest publication covering the last consumed item:
     // producer clocks are monotone, so that one snapshot dominates every
     // earlier publication this receive also drew from.

@@ -2,8 +2,11 @@
 // race rules. While a sanitize session is active, accessor element accesses,
 // instrumented USM reads/writes (observe_read/observe_write) and buffer
 // transfers are recorded as coalesced per-thread byte intervals, each
-// stamped with the vector clock of the actor that made it; pipe counter
-// publications add the happens-before edges that order them.
+// stamped with the vector clock of the actor that made it. One rule orders
+// commands on every queue path -- a command joins the host clock plus its
+// dependency actors' current clocks, a synchronization is the host joining
+// a set of actors (docs/SANITIZER.md, "The happens-before model") -- and
+// pipe counter publications add the edges between running kernels.
 //
 // Cost model (mirrors metrics::collecting()): with no recorder current the
 // hooks are one relaxed atomic load and a never-taken branch -- no shadow
@@ -14,10 +17,10 @@
 // actor, on slot eviction, or at session teardown.
 //
 // Soundness invariant: an actor's clock is only ever advanced from the
-// actor's own thread (pipe publish/consume) or from the host thread for the
-// host's own clock (submit/wait), and every such event first flushes the
-// calling thread's open runs. An open run's accesses therefore always
-// flush under the exact clock they were made under.
+// actor's own thread (pipe publish/consume) or from the host thread (a
+// submission, before the actor runs, and host joins), and every such event
+// first flushes the calling thread's open runs. An open run's accesses
+// therefore always flush under the exact clock they were made under.
 #pragma once
 
 #include <atomic>
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -110,10 +114,14 @@ inline void observe_write(const void* ptr, std::size_t bytes) {
 /// so the snapshot covers everything the producer did up to and including
 /// the published items; consume joins the covering snapshot into the
 /// consumer *before* ticking, so everything the consumer does next
-/// happens-after the production of what it read. Gate on tracking() first.
+/// happens-after the production of what it read. A read_burst consumes in
+/// chunks as items arrive: each chunk joins, but `recv_from` (the position
+/// the read call started at) keeps the whole call one receive record.
+/// Gate on tracking() first.
 void on_pipe_publish(const void* pipe, const char* name, std::uint64_t from,
                      std::uint64_t to);
-void on_pipe_consume(const void* pipe, const char* name, std::uint64_t from,
+void on_pipe_consume(const void* pipe, const char* name,
+                     std::uint64_t recv_from, std::uint64_t from,
                      std::uint64_t to);
 
 /// One closed observed-access interval: absolute byte range [lo, hi),
@@ -133,7 +141,8 @@ struct pipe_pub {
     std::uint32_t clock = 0;
 };
 
-/// Consumer-side receive of positions [from, to).
+/// One logical consumer-side receive (a read/try_read/read_burst call) of
+/// positions [from, to).
 struct pipe_recv {
     std::uint64_t from = 0;
     std::uint64_t to = 0;
@@ -165,32 +174,22 @@ public:
     int new_actor();
     /// Names an actor after its kernel (reported in findings).
     void name_actor(int actor, const std::string& kernel);
-    /// Kernel submission: K = join(host, Q[queue]); tick K; tick host.
-    /// Sequential submissions then chain the queue clock through the kernel
-    /// (Q = K); dataflow members leave Q untouched until on_group_end.
-    void on_submit(int actor, int queue, bool dataflow);
-    /// Out-of-order submission: K = join(host, dep actors...); tick K; tick
-    /// host. No queue-clock chaining -- on an OOO queue the only ordering is
-    /// the graph's real edges, so two edge-free kernels stay concurrent and
-    /// ALS-R1 sees exactly the schedules the scheduler may produce.
-    void on_submit_graph(int actor, const std::vector<int>& dep_actors);
-    /// Out-of-order transfer: the copy runs asynchronously under its own
-    /// actor, ordered after its graph dependencies; the copied range is
-    /// recorded under that actor's clock (not the host's).
-    void on_transfer_graph(int actor, const std::vector<int>& dep_actors,
-                           const void* base, std::size_t bytes, bool write);
-    /// Graph join (queue::wait / event::wait / buffer write-back on an OOO
-    /// queue): the host joins the given actors' clocks, then ticks.
-    void on_host_join(const std::vector<int>& actors);
-    /// Dataflow group joined: Q[queue] absorbs every member's final clock,
-    /// and the host joins Q -- end_dataflow() joins the worker threads, so
-    /// the host is genuinely ordered after the whole group.
-    void on_group_end(int queue, const std::vector<int>& members);
-    /// queue::wait(): host joins Q[queue], then ticks.
-    void on_wait(int queue);
-    /// Host-side transfer touching [base, base+bytes): recorded as a host
-    /// observed access under the current host clock.
-    void on_transfer(const void* base, std::size_t bytes, bool write);
+    /// Command submission -- the one happens-before rule for every queue
+    /// path: K = join(host, deps...); tick K; tick host. `deps` are the
+    /// actors the command is ordered after (the in-order predecessor, the
+    /// commands before a dataflow group, or a graph node's edges); their
+    /// *current* clocks are joined, so whatever they published on a pipe
+    /// while running is covered too.
+    void on_submit(int actor, std::span<const int> deps);
+    /// Synchronization (queue::wait, end_dataflow, graph join, event::wait,
+    /// buffer write-back): the host joins the given actors' current clocks,
+    /// then ticks.
+    void on_host_join(std::span<const int> actors);
+    /// Transfer touching [base, base+bytes), recorded under `actor`'s
+    /// current clock: the host for a host-side copy, the copy's own actor
+    /// (after on_submit) for an asynchronous graph transfer.
+    void on_transfer(const void* base, std::size_t bytes, bool write,
+                     int actor = kHostActor);
     /// Registers a declared memory region (accessor span, USM allocation,
     /// observe_* target): the source of the stable "mem#N" labels findings
     /// use instead of raw (ASLR-dependent) pointers.
@@ -232,7 +231,7 @@ private:
     friend void on_pipe_publish(const void*, const char*, std::uint64_t,
                                 std::uint64_t);
     friend void on_pipe_consume(const void*, const char*, std::uint64_t,
-                                std::uint64_t);
+                                std::uint64_t, std::uint64_t);
 
     struct region {
         std::uint64_t lo = 0;
@@ -252,7 +251,6 @@ private:
     std::vector<int> clock_id_;               ///< cached intern id, -1 dirty
     std::vector<std::string> actor_name_;
     std::vector<vector_clock> clocks_;        ///< interned snapshots
-    std::unordered_map<int, vector_clock> queue_clock_;
     std::vector<region> regions_;
     std::vector<interval> intervals_;
     std::unordered_map<const void*, pipe_log> pipes_;

@@ -1,7 +1,6 @@
 #include "mem/transfer.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -23,15 +22,9 @@ std::atomic<int> g_inflight{0};  // NOLINT(cppcoreguidelines-avoid-non-const-glo
 /// every worker.
 constexpr std::size_t kChunkBytes = std::size_t{2} * 1024 * 1024;
 
-[[nodiscard]] std::size_t threshold_from_env() {
-    const char* v = std::getenv("ALTIS_MEM_PCOPY_MIN");
-    if (v != nullptr) {
-        char* end = nullptr;
-        const unsigned long long n = std::strtoull(v, &end, 10);
-        if (end != v && *end == '\0') return static_cast<std::size_t>(n);
-    }
-    return std::size_t{4} * 1024 * 1024;
-}
+/// Copies below this stay one memcpy: under it the chunk fan-out costs more
+/// than it saves.
+constexpr std::size_t kParallelMinBytes = std::size_t{4} * 1024 * 1024;
 
 struct copy_job {
     char* dst;
@@ -63,10 +56,7 @@ parallel_runner parallel_runner_installed() {
     return g_runner.load(std::memory_order_acquire);
 }
 
-std::size_t parallel_copy_threshold() {
-    static const std::size_t threshold = threshold_from_env();
-    return threshold;
-}
+std::size_t parallel_copy_threshold() { return kParallelMinBytes; }
 
 void copy_bytes(void* dst, const void* src, std::size_t bytes) {
     if (bytes == 0) return;

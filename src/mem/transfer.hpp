@@ -27,8 +27,7 @@ using parallel_runner = void (*)(std::size_t n, void (*fn)(void*, std::size_t),
 void set_parallel_runner(parallel_runner r);
 [[nodiscard]] parallel_runner parallel_runner_installed();
 
-/// Copies below this many bytes stay a single memcpy. Defaults to 4 MiB;
-/// $ALTIS_MEM_PCOPY_MIN (bytes, read once) overrides.
+/// Copies below this many bytes (4 MiB) stay a single memcpy.
 [[nodiscard]] std::size_t parallel_copy_threshold();
 
 /// memcpy with the parallel fast path: chunks of 2 MiB are claimed by pool

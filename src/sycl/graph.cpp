@@ -155,16 +155,16 @@ public:
         segs = std::move(next);
     }
 
-    /// Caller holds mu. Returns true when the node entered the ready list
-    /// (the caller decides whether to post a pool task).
-    bool make_ready(node_rec& n) {
+    /// Moves `n` onto the ready list and adds it to `to_post`, the ids the
+    /// caller posts pool tasks for once mu is released. Caller holds mu.
+    void make_ready(node_rec& n, std::vector<std::uint64_t>& to_post) {
         n.state = node_state::ready;
         n.ready_wall_ns = altis::metrics::collecting() ? wall_ns() : 0;
         ready.push_back(n.id);
+        to_post.push_back(n.id);
         if (altis::metrics::collecting())
             altis::metrics::instruments::sched_ready_depth().record(
                 static_cast<double>(ready.size()));
-        return true;
     }
 };
 
@@ -254,8 +254,7 @@ void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
             if (m == nullptr || (m->state != node_state::pending &&
                                  m->state != node_state::held))
                 continue;
-            if (--m->unmet == 0 && st->make_ready(*m))
-                newly_ready.push_back(d);
+            if (--m->unmet == 0) st->make_ready(*m, newly_ready);
         }
     }
     st->cv.notify_all();
@@ -288,7 +287,6 @@ scheduler::~scheduler() {
 }
 
 ticket scheduler::enqueue(submission s) {
-    std::vector<std::uint64_t> newly_ready;  // unused: node starts held
     ticket t;
     std::lock_guard lock(state_->mu);
     scheduler_state& st = *state_;
@@ -365,7 +363,6 @@ ticket scheduler::enqueue(submission s) {
         mi::sched_nodes().add();
         mi::sched_edges().add(deps.size());
     }
-    (void)newly_ready;
     return t;
 }
 
@@ -377,8 +374,7 @@ void scheduler::release(std::uint64_t id, int actor) {
         if (n == nullptr || n->state != node_state::held) return;
         if (actor >= 0) n->actor = actor;
         n->state = node_state::pending;
-        if (--n->unmet == 0 && state_->make_ready(*n))
-            newly_ready.push_back(id);
+        if (--n->unmet == 0) state_->make_ready(*n, newly_ready);
     }
     state_->cv.notify_all();
     post_dispatch(state_, newly_ready);
@@ -468,7 +464,7 @@ void wait_node(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
     lock.unlock();
     // The node's shadow clock already joined its dependencies at submit, so
     // one host join covers the transitive closure.
-    if (rec != nullptr) rec->record_host_join_actor(actor);
+    if (rec != nullptr && actor > 0) rec->shadow().on_host_join({&actor, 1});
 }
 
 }  // namespace syclite::graph

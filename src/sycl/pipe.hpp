@@ -97,7 +97,7 @@ public:
         maybe_injected_stall("read");
         if (!data_available()) wait_for_data("read");
         T value = std::move(ring_[wrap(head_pos_)]);
-        publish_head(head_pos_ + 1);
+        publish_head(head_pos_ + 1, head_pos_);
         return value;
     }
 
@@ -129,6 +129,7 @@ public:
         maybe_injected_stall("read_burst");
         if (altis::metrics::collecting())
             altis::metrics::instruments::pipe_burst_items().record(n);
+        const std::uint64_t first = head_pos_;
         std::size_t done = 0;
         while (done < n) {
             if (!data_available()) wait_for_data("read_burst");
@@ -138,7 +139,7 @@ public:
             if (chunk > avail) chunk = avail;
             for (std::size_t i = 0; i < chunk; ++i)
                 dst[done + i] = std::move(ring_[wrap(head_pos_ + i)]);
-            publish_head(head_pos_ + chunk);
+            publish_head(head_pos_ + chunk, first);
             done += chunk;
         }
     }
@@ -160,7 +161,7 @@ public:
         if (altis::fault::should_stall_pipe(name_)) return false;
         if (!data_available()) return false;
         value = std::move(ring_[wrap(head_pos_)]);
-        publish_head(head_pos_ + 1);
+        publish_head(head_pos_ + 1, head_pos_);
         return true;
     }
 
@@ -242,12 +243,14 @@ private:
         }
     }
 
-    void publish_head(std::uint64_t pos) {
+    /// `recv_from`: where the read call that consumes [head_pos_, pos)
+    /// started -- earlier than head_pos_ for a read_burst's later chunks.
+    void publish_head(std::uint64_t pos, std::uint64_t recv_from) {
         // Consumer-side HB edge: join the covering publication's snapshot
         // for items [head_pos_, pos) into the consumer's clock.
         if (altis::analyze::shadow::tracking())
-            altis::analyze::shadow::on_pipe_consume(this, name_.c_str(),
-                                                    head_pos_, pos);
+            altis::analyze::shadow::on_pipe_consume(
+                this, name_.c_str(), recv_from, head_pos_, pos);
         head_pos_ = pos;
         head_.store(pos, std::memory_order_release);
         std::atomic_thread_fence(std::memory_order_seq_cst);

@@ -108,7 +108,7 @@ queue::~queue() {
         // pending).
         sched_->wait_all();
         (void)sched_->drain_errors();
-        if (recorder_ != nullptr) recorder_->record_graph_join(queue_id_);
+        if (recorder_ != nullptr) recorder_->join_host(queue_id_);
     }
 }
 
@@ -153,6 +153,7 @@ analyze::node queue::kernel_node(handler& h) const {
     n.kernel = h.stats().name;
     n.queue = queue_id_;
     n.group = in_dataflow_ ? current_group_ : -1;
+    n.ooo = sched_ != nullptr && !in_dataflow_;
     n.accesses = std::move(h.accesses_);
     n.pipes = std::move(h.pipes_);
     n.stats = h.stats();
@@ -273,7 +274,7 @@ event queue::finish_submit_graph(handler& h) {
     // later join -- including ~queue during unwind -- deadlocks.
     release_guard release{sched_.get(), t.id};
     if (recorder_ != nullptr)
-        recorder_->add_node_graph(kernel_node(h), t.dep_actors);
+        recorder_->add_node(kernel_node(h), t.dep_actors);
     if (trace_ != nullptr) {
         const double b = trace_base_ns_;
         trace_->record({trace::span_kind::overhead, "launch", b + submit,
@@ -329,14 +330,12 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
     const graph::ticket t = sched_->enqueue(std::move(s));
 
     release_guard release{sched_.get(), t.id};
-    int actor = -1;
     if (recorder_ != nullptr)
-        actor = recorder_->record_transfer_graph(
+        release.actor = recorder_->record_transfer(
             queue_id_,
             to_device ? analyze::node_kind::transfer_in
                       : analyze::node_kind::transfer_out,
-            to_device ? dst_ptr : src_ptr, bytes, t.dep_actors);
-    release.actor = actor;
+            to_device ? dst_ptr : src_ptr, bytes, &t.dep_actors);
     if (trace_ != nullptr) {
         trace::span sp{trace::span_kind::transfer, "transfer",
                        trace_base_ns_ + t.start_ns,
@@ -424,7 +423,7 @@ void queue::join_graph() {
         // i.e. kernels/transfers actually overlapped.
         altis::metrics::instruments::sched_overlap_pct().record(
             100.0 * busy / elapsed);
-    if (recorder_ != nullptr) recorder_->record_graph_join(queue_id_);
+    if (recorder_ != nullptr) recorder_->join_host(queue_id_);
     sched_->reset_epoch();
     epoch_start_ns_ = sim_now_ns_;
     epoch_launch_ns_ = 0.0;
@@ -521,16 +520,14 @@ std::vector<event> queue::end_dataflow() {
             throw analyze::sanitize_error(msg);
         }
     }
-    const int joined_group = current_group_;
     current_group_ = -1;
 
     launch_dataflow_workers();
     for (auto& t : pending_threads_) t.join();
     pending_threads_.clear();
-    // The join above is a real synchronization point: close the group's
-    // happens-before edges (members -> queue -> host) in the shadow store.
-    if (recorder_ != nullptr && joined_group >= 0)
-        recorder_->end_group(joined_group, queue_id_);
+    // The join above is a real synchronization point: the host joins the
+    // group's members.
+    if (recorder_ != nullptr) recorder_->join_host(queue_id_);
     if (!worker_errors_.empty()) {
         std::vector<worker_error> errors = std::move(worker_errors_);
         worker_errors_.clear();
@@ -654,12 +651,8 @@ void queue::wait() {
     sim_now_ns_ += sync;
     non_kernel_ns_ += sync;
     epoch_start_ns_ = sim_now_ns_;
-    if (recorder_ != nullptr) {
-        if (sched_ != nullptr)
-            recorder_->record_graph_wait_node(queue_id_, graph_pending);
-        else
-            recorder_->record_wait(queue_id_);
-    }
+    if (recorder_ != nullptr)
+        recorder_->record_wait(queue_id_, sched_ != nullptr, graph_pending);
     throw_asynchronous();
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analyze/sanitize.hpp"
@@ -136,6 +137,38 @@ TEST(Races, R1SilentAcrossSequentialSubmissions) {
     EXPECT_FALSE(has_rule(r, "ALS-D1")) << render(r);
 }
 
+TEST(Races, R1SilentAcrossSequentialSubmissionsAfterAPipePublish) {
+    recorder rec;
+    {
+        recorder::scope scope(rec);
+        syclite::queue q("xeon_6128");
+        syclite::buffer<int> buf(16);
+        int* p = buf.host_data();
+        syclite::pipe<int> ch(8, "side");
+        // The first kernel publishes on a pipe *before* writing the buffer,
+        // so its write carries a clock newer than the one it was submitted
+        // with. The next in-order kernel must still be ordered after it.
+        q.submit([&](syclite::handler& h) {
+            auto a = h.get_access(buf, syclite::access_mode::write);
+            (void)a;
+            h.single_task(named("publisher"), [p, &ch] {
+                ch.write(1);
+                shadow::observe_write(p, 16 * sizeof(int));
+            });
+        });
+        q.submit([&](syclite::handler& h) {
+            auto a = h.get_access(buf, syclite::access_mode::read);
+            (void)a;
+            h.single_task(named("reader"), [p] {
+                shadow::observe_read(p, 16 * sizeof(int));
+            });
+        });
+        q.wait();
+    }
+    const report r = run_all(rec);
+    EXPECT_FALSE(has_rule(r, "ALS-R1")) << render(r);
+}
+
 TEST(Races, R1FiresOnHostCopyRacingADeviceWrite) {
     recorder rec;
     std::vector<int> host(16, 0);
@@ -235,6 +268,43 @@ TEST(Races, R2FiresOnARoundStraddlingReceive) {
         if (f.rule != "ALS-R2") continue;
         EXPECT_EQ(f.kernel, "skew_consumer");
         EXPECT_EQ(f.object, "skew");
+    }
+}
+
+TEST(Races, R2FiresWhenTheStraddlingReceiveArrivesInTwoChunks) {
+    recorder rec;
+    {
+        recorder::scope scope(rec);
+        syclite::queue q("xeon_6128");
+        syclite::pipe<int> ch(8, "split");
+        syclite::dataflow_guard g(q);
+        q.submit([&](syclite::handler& h) {
+            h.writes_pipe(ch, 4.0, 2.0);
+            h.single_task(named("split_producer"), [&ch] {
+                const int items[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+                ch.write_burst(items, 4);
+                // Hold round 1 back until the consumer's second read has
+                // drained item 3: that read then finds one item, takes it,
+                // and waits for the rest -- two chunks, one receive.
+                while (ch.occupancy() != 0) std::this_thread::yield();
+                ch.write_burst(items + 4, 4);
+            });
+        });
+        q.submit([&](syclite::handler& h) {
+            h.reads_pipe(ch, 4.0, 2.0);
+            h.single_task(named("split_consumer"), [&ch] {
+                int sink[8] = {};
+                ch.read_burst(sink, 3);
+                ch.read_burst(sink, 5);
+            });
+        });
+        (void)g.join();
+    }
+    const report r = run_all(rec);
+    ASSERT_TRUE(has_rule(r, "ALS-R2")) << render(r);
+    for (const finding& f : r.findings()) {
+        if (f.rule != "ALS-R2") continue;
+        EXPECT_NE(f.message.find("[3..8)"), std::string::npos) << f.message;
     }
 }
 

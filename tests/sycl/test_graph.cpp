@@ -473,9 +473,17 @@ TEST(GraphSched, CancellationSkipsQueuedNodesAndRethrowsAtJoin) {
     namespace res = altis::resilience;
     res::current().reset();
     std::atomic<int> ran{0};
+    std::atomic<bool> open{false};
     {
         queue q("rtx_2080", queue_property::out_of_order);
-        event prev;
+        // The chain sits behind a gate that holds until cancel() has been
+        // issued, so no pool worker can dispatch a "queued" node before it.
+        event prev = q.submit([&](handler& h) {
+            h.library_call(stats("gate"), [&] {
+                while (!open.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+        });
         for (int i = 0; i < 3; ++i)
             prev = q.submit([&](handler& h) {
                 h.depends_on(prev);
@@ -483,10 +491,11 @@ TEST(GraphSched, CancellationSkipsQueuedNodesAndRethrowsAtJoin) {
                     ran.fetch_add(1, std::memory_order_relaxed);
                 });
             });
-        // Nothing has dispatched yet (joins run the graph); cancel now, then
-        // drive dispatch through a targeted join: every node must hit its
-        // dispatch checkpoint and be cancelled, not executed.
+        // Cancel, open the gate, then drive dispatch through a targeted
+        // join: every queued node must hit its dispatch checkpoint and be
+        // cancelled, not executed.
         res::current().cancel(res::cancel_reason::manual);
+        open.store(true, std::memory_order_release);
         prev.wait();
         EXPECT_EQ(ran.load(std::memory_order_relaxed), 0)
             << "a queued-but-unstarted node ran past the cancellation";
