@@ -50,8 +50,8 @@ double speedup(const bench::SuiteEntry& e, Variant sycl_variant, int size) {
 
 void panel(const char* title, Variant v,
            const std::array<double, 3> bench::SuiteEntry::* paper,
-           const fault::retry_policy& policy, bool fail_fast, bool injecting,
-           altis::resilience::supervisor* sup,
+           const fault::retry_policy& policy, bool fail_fast, bool log_all,
+           altis::resilience::supervisor& sup,
            altis::ResultDatabase& outcomes) {
     std::cout << "== " << title << " ==\n";
     Table t({"Application", "Size 1", "Size 2", "Size 3", "Paper S1",
@@ -63,26 +63,19 @@ void panel(const char* title, Variant v,
         for (int size : {1, 2, 3}) {
             const std::string label = bench::config_label(e, v, "rtx_2080", size);
             bench::ConfigOutcome co;
-            auto cell = [&] {
-                co.oc = fault::run_guarded(
-                    [&] { co.ms = speedup(e, v, size); }, policy, fail_fast);
-                if (!co.oc.succeeded()) co.ms.reset();
-            };
-            if (sup != nullptr) {
-                const auto res =
-                    sup->run(label, e.label + "/" + to_string(v) + "/rtx_2080",
-                             [&] {
-                                 cell();
-                                 return bench::outcome_to_entry(label, co);
-                             });
-                if (res.replayed || res.entry.status == "quarantined")
-                    co = bench::entry_to_outcome(res.entry);
-                if (!res.replayed) bench::emit_degraded_span(label, co.oc);
-            } else {
-                cell();
-            }
+            const auto res =
+                sup.run(label, e.label + "/" + to_string(v) + "/rtx_2080", [&] {
+                    co.oc = fault::run_guarded(
+                        [&] { co.ms = speedup(e, v, size); }, policy,
+                        fail_fast);
+                    if (!co.oc.succeeded()) co.ms.reset();
+                    return bench::outcome_to_entry(label, co);
+                });
+            if (res.replayed || res.entry.status == "quarantined")
+                co = bench::entry_to_outcome(res.entry);
+            if (!res.replayed) bench::emit_degraded_span(label, co.oc);
             const fault::outcome& oc = co.oc;
-            if (injecting || sup != nullptr || !oc.succeeded() || oc.retried())
+            if (log_all || !oc.succeeded() || oc.retried())
                 fault::record_outcome(outcomes, label, oc);
             if (!oc.succeeded()) {
                 row.push_back(oc.st == fault::outcome::status::failed
@@ -114,8 +107,11 @@ int main(int argc, char** argv) {
 
     const auto& policy = trace_harness.flags().fault.policy;
     const bool fail_fast = trace_harness.flags().fault.fail_fast;
-    const bool injecting = trace_harness.flags().fault.enabled();
-    altis::resilience::supervisor* sup = trace_harness.supervisor();
+    // Every outcome is logged when injecting or supervising beyond the
+    // breaker; a clean run keeps the historical report.
+    const bool log_all = trace_harness.flags().fault.enabled() ||
+                         trace_harness.flags().resilience.enabled();
+    altis::resilience::supervisor& sup = trace_harness.supervisor();
 
     std::cout << "Figure 2: Speedup of Altis-SYCL over Altis (CUDA) on the "
                  "RTX 2080\n\n";
@@ -123,11 +119,11 @@ int main(int argc, char** argv) {
     try {
         panel("Baseline (DPCT migration, functionally correct)",
               Variant::sycl_base, &bench::SuiteEntry::paper_fig2_baseline,
-              policy, fail_fast, injecting, sup, outcomes);
+              policy, fail_fast, log_all, sup, outcomes);
         std::cout << "paper geomean reference: optimized 1.0 / 1.1 / 1.3\n\n";
         panel("Optimized (Sec. 3.3)", Variant::sycl_opt,
               &bench::SuiteEntry::paper_fig2_optimized, policy, fail_fast,
-              injecting, sup, outcomes);
+              log_all, sup, outcomes);
     } catch (const std::exception& e) {
         std::cerr << "aborting (--fail-fast): " << e.what() << "\n";
         return 1;

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
 
     const auto& policy = trace_harness.flags().fault.policy;
     const bool fail_fast = trace_harness.flags().fault.fail_fast;
-    const bool injecting = trace_harness.flags().fault.enabled();
-    altis::resilience::supervisor* sup = trace_harness.supervisor();
-    const bool log_all = injecting || sup != nullptr;
+    const bool log_all = trace_harness.flags().fault.enabled() ||
+                         trace_harness.flags().resilience.enabled();
+    altis::resilience::supervisor& sup = trace_harness.supervisor();
 
     std::cout << "Figure 5: Relative speedup over the Xeon CPU\n";
 

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     opts.add_flag("list", "list registered applications and exit");
     if (int rc = h.parse(argc, argv); rc >= 0) return rc;
     const fault::options& fopts = h.flags().fault;
-    resilience::supervisor* sup = h.supervisor();
+    resilience::supervisor& sup = h.supervisor();
     trace::session& tsession = h.trace_session();
 
     // SIGINT/SIGTERM turn into cooperative cancellation: the running config
@@ -180,40 +180,35 @@ int main(int argc, char** argv) {
             }
         };
         try {
-            if (sup != nullptr) {
-                const std::string bkey = name + "/" + to_string(cfg.variant) +
-                                         "/" + cfg.device;
-                const auto res = sup->run(label, bkey, [&] {
-                    run_body();
-                    resilience::journal_entry entry;
-                    entry.config = label;
-                    entry.status = oc.label();
-                    entry.attempts = oc.attempts;
-                    entry.backoff_ms = oc.backoff_ms;
-                    entry.error = oc.error;
-                    entry.log = log;
-                    if (oc.succeeded())
-                        entry.results = capture_series(attempt_db);
-                    return entry;
-                });
-                if (res.replayed || res.entry.status == "quarantined") {
-                    oc.st = fault::status_from_label(res.entry.status);
-                    oc.attempts = res.entry.attempts;
-                    oc.backoff_ms = res.entry.backoff_ms;
-                    oc.error = res.entry.error;
-                    attempt_db.clear();
-                    restore_series(res.entry.results, attempt_db);
-                    // Replays print their captured stdout verbatim;
-                    // quarantined entries never ran, so their one line is
-                    // composed the same way live and on replay.
-                    if (res.entry.status == "quarantined")
-                        std::cout << name << ": quarantined -- "
-                                  << res.entry.error << "\n";
-                    else
-                        std::cout << res.entry.log;
-                }
-            } else {
+            const std::string bkey =
+                name + "/" + to_string(cfg.variant) + "/" + cfg.device;
+            const auto res = sup.run(label, bkey, [&] {
                 run_body();
+                resilience::journal_entry entry;
+                entry.config = label;
+                entry.status = oc.label();
+                entry.attempts = oc.attempts;
+                entry.backoff_ms = oc.backoff_ms;
+                entry.error = oc.error;
+                entry.log = log;
+                if (oc.succeeded()) entry.results = capture_series(attempt_db);
+                return entry;
+            });
+            if (res.replayed || res.entry.status == "quarantined") {
+                oc.st = fault::status_from_label(res.entry.status);
+                oc.attempts = res.entry.attempts;
+                oc.backoff_ms = res.entry.backoff_ms;
+                oc.error = res.entry.error;
+                attempt_db.clear();
+                restore_series(res.entry.results, attempt_db);
+                // Replays print their captured stdout verbatim; quarantined
+                // entries never ran, so their one line is composed the same
+                // way live and on replay.
+                if (res.entry.status == "quarantined")
+                    std::cout << name << ": quarantined -- " << res.entry.error
+                              << "\n";
+                else
+                    std::cout << res.entry.log;
             }
         } catch (const std::exception& e) {
             std::cerr << name << ": FAILED -- " << e.what()
@@ -225,8 +220,8 @@ int main(int argc, char** argv) {
             db.merge(attempt_db);
         else
             ++failures;
-        if (fopts.enabled() || sup != nullptr || !oc.succeeded() ||
-            oc.retried())
+        if (fopts.enabled() || h.flags().resilience.enabled() ||
+            !oc.succeeded() || oc.retried())
             fault::record_outcome(db, label, oc);
         if (resilience::interrupted()) {
             interrupted = true;
@@ -236,8 +231,8 @@ int main(int argc, char** argv) {
 
     if (interrupted)
         std::cout << "\ninterrupted -- partial results follow"
-                  << (sup != nullptr && !sup->journal_path().empty()
-                          ? " (journal flushed: " + sup->journal_path() + ")"
+                  << (!sup.journal_path().empty()
+                          ? " (journal flushed: " + sup.journal_path() + ")"
                           : "")
                   << "\n";
     std::cout << '\n';

@@ -437,8 +437,7 @@ void emit_degraded_span(const std::string& label, const fault::outcome& oc) {
 ConfigOutcome run_config(const SuiteEntry& e, Variant v,
                          const std::string& device, int size,
                          const fault::retry_policy& policy, bool fail_fast,
-                         resilience::supervisor* sup) {
-    if (sup == nullptr) return run_config(e, v, device, size, policy, fail_fast);
+                         resilience::supervisor& sup) {
     const std::string label = config_label(e, v, device, size);
     // Probe the deterministic skip checks first (cheap: region construction
     // only happens in the plain overload's body below); a nonexistent
@@ -457,7 +456,7 @@ ConfigOutcome run_config(const SuiteEntry& e, Variant v,
         if (!exists) return run_config(e, v, device, size, policy, fail_fast);
     }
     ConfigOutcome co;
-    const auto res = sup->run(label, breaker_key(e, v, device), [&] {
+    const auto res = sup.run(label, breaker_key(e, v, device), [&] {
         co = run_config(e, v, device, size, policy, fail_fast);
         return outcome_to_entry(label, co);
     });

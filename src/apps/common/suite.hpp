@@ -94,15 +94,14 @@ struct ConfigOutcome {
 /// supervisor (journal replay -> breaker admission -> deadline scope ->
 /// fsync'd journaling). Nonexistent configurations are skipped before the
 /// supervisor -- the checks are deterministic, so resume recomputes them
-/// identically and the journal stays free of noise. With `sup == nullptr`
-/// this is exactly the plain overload. Degraded terminal states (deadline,
-/// cancelled, quarantined) emit a matching zero-length span into the
-/// current trace session.
+/// identically and the journal stays free of noise. Degraded terminal
+/// states (deadline, cancelled, quarantined) emit a matching zero-length
+/// span into the current trace session.
 [[nodiscard]] ConfigOutcome run_config(const SuiteEntry& e, Variant v,
                                        const std::string& device, int size,
                                        const fault::retry_policy& policy,
                                        bool fail_fast,
-                                       resilience::supervisor* sup);
+                                       resilience::supervisor& sup);
 
 /// Breaker quarantine key of a configuration: the config label without the
 /// size component, so repeated hard failures of one app/variant/device pair

@@ -10,9 +10,22 @@
 // them are not either.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
+
 #include "metrics/registry.hpp"
 
 namespace altis::metrics::instruments {
+
+/// Steady-clock nanoseconds since an arbitrary epoch: the wall-clock reading
+/// every runtime instrument meters with. Distinct from the simulated
+/// timeline, which must stay byte-identical with metrics off or on.
+[[nodiscard]] inline std::uint64_t wall_ns() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 // ---- syclite::queue -------------------------------------------------------
 

@@ -16,8 +16,8 @@ struct options {
     std::string resume_path;   ///< empty: fresh run
     breaker_policy breaker;
 
-    /// True when any supervisor feature beyond the default breaker was
-    /// requested (deadline, journal or resume).
+    /// True when any supervisor feature beyond the breaker, which is armed
+    /// on every sweep, was requested (deadline, journal or resume).
     [[nodiscard]] bool enabled() const {
         return deadline_ms > 0.0 || !journal_path.empty() ||
                !resume_path.empty();

@@ -32,6 +32,14 @@ struct command_outcome {
     std::string detail;        ///< deadlock message (pipe_blocked only)
 };
 
+/// One failed command, keyed by submission order: what the graph's settled
+/// nodes and the dataflow workers both report to the queue.
+struct command_failure {
+    std::uint64_t index = 0;
+    std::string name;
+    command_outcome outcome;
+};
+
 /// Runs one command through the lifecycle above. `name` keys fault rules;
 /// `transfer` injects op_kind::transfer instead of launch; `actor` is bound
 /// around exec; `rec`/`cg` name the accessor token retired on every exit.

@@ -1,7 +1,6 @@
 #include "sycl/graph.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -17,12 +16,7 @@ namespace syclite::graph {
 
 namespace {
 
-[[nodiscard]] std::uint64_t wall_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
+using altis::metrics::instruments::wall_ns;
 
 enum class node_state { held, pending, ready, running, settled };
 
@@ -45,8 +39,6 @@ struct node_rec {
     double start_ns = 0.0;
     double end_ns = 0.0;
     std::uint64_t ready_wall_ns = 0;
-    std::exception_ptr error;
-    bool cancelled = false;
 };
 
 /// Byte segment of the epoch's conflict map: last writer plus the readers
@@ -72,7 +64,8 @@ public:
     std::size_t unsettled = 0;
     std::vector<seg> segs;
     std::vector<std::uint64_t> ready;
-    std::vector<completion> failures;  ///< settled with error, undelivered
+    /// Settled with an error, undelivered.
+    std::vector<detail::command_failure> failures;
     std::vector<double> lane_end;      ///< kernel display lanes (track >= 2)
     double transfer_end_ns = 0.0;      ///< modeled PCIe lane cursor
     double horizon = 0.0;
@@ -171,7 +164,7 @@ public:
 namespace {
 
 void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
-            std::exception_ptr error, bool cancelled);
+            detail::command_outcome outcome);
 
 /// Claims `id` if still ready and runs it. Posted to the pool; also the
 /// join-side work-stealing path. Stale calls (node already claimed, epoch
@@ -204,11 +197,10 @@ void run_one(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
     }
     detail::command_outcome o =
         detail::run_command(name, transfer, cg, actor, rec, exec, *pool);
-    const bool cancelled =
-        o.status == detail::command_outcome::kind::cancelled;
-    if (cancelled && altis::metrics::collecting())
+    if (o.status == detail::command_outcome::kind::cancelled &&
+        altis::metrics::collecting())
         altis::metrics::instruments::sched_cancelled_nodes().add();
-    settle(st, id, std::move(o.error), cancelled);
+    settle(st, id, std::move(o));
 }
 
 void post_dispatch(const std::shared_ptr<scheduler_state>& st,
@@ -225,18 +217,16 @@ void post_dispatch(const std::shared_ptr<scheduler_state>& st,
 }
 
 void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
-            std::exception_ptr error, bool cancelled) {
+            detail::command_outcome outcome) {
     std::vector<std::uint64_t> newly_ready;
     {
         std::lock_guard lock(st->mu);
         node_rec* n = st->find(id);
         if (n == nullptr) return;
         n->state = node_state::settled;
-        n->error = error;
-        n->cancelled = cancelled;
         n->exec = {};
-        if (error != nullptr)
-            st->failures.push_back({n->index, n->name, error, cancelled});
+        if (outcome.status != detail::command_outcome::kind::ok)
+            st->failures.push_back({n->index, n->name, std::move(outcome)});
         --st->unsettled;
         // Dependents run regardless of this node's outcome (in-order queues
         // likewise keep executing after a failed submission); a cancelled
@@ -410,12 +400,13 @@ std::vector<std::pair<double, double>> scheduler::kernel_spans() const {
     return state_->kernel_spans;
 }
 
-std::vector<completion> scheduler::drain_errors() {
+std::vector<detail::command_failure> scheduler::drain_errors() {
     std::lock_guard lock(state_->mu);
-    std::vector<completion> out = std::move(state_->failures);
+    std::vector<detail::command_failure> out = std::move(state_->failures);
     state_->failures.clear();
     std::sort(out.begin(), out.end(),
-              [](const completion& a, const completion& b) {
+              [](const detail::command_failure& a,
+                 const detail::command_failure& b) {
                   return a.index < b.index;
               });
     return out;

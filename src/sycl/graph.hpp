@@ -15,8 +15,8 @@
 // with the resolved edges and deterministic simulated start/end (computed on
 // the host thread in submission order -- the modeled timeline is identical
 // no matter how wall-clock execution interleaves); the queue finishes its
-// bookkeeping (recorder, trace, events log) and then release()s the node for
-// dispatch. Nothing can run before its shadow-clock edges exist.
+// bookkeeping (recorder, trace) and then release()s the node for dispatch.
+// Nothing can run before its shadow-clock edges exist.
 //
 // fault/resilience integration: every node runs through the one command
 // body (sycl/command.hpp) and passes a resilience checkpoint and the fault
@@ -27,12 +27,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sycl/small_function.hpp"
+#include "sycl/command.hpp"
 
 namespace altis::analyze {
 class recorder;
@@ -87,14 +86,6 @@ struct ticket {
     std::vector<int> dep_actors;      ///< shadow actors of those deps
 };
 
-/// One settled node, in submission order.
-struct completion {
-    std::uint64_t index = 0;
-    std::string name;
-    std::exception_ptr error;  ///< null when the node ran clean
-    bool cancelled = false;    ///< cooperative cancellation, not a fault
-};
-
 class scheduler {
 public:
     /// `pool` receives ready-node dispatch tasks; it must outlive the
@@ -131,7 +122,7 @@ public:
 
     /// Settled nodes that failed or were cancelled, in submission order;
     /// removes them from the log (each error is delivered once).
-    [[nodiscard]] std::vector<completion> drain_errors();
+    [[nodiscard]] std::vector<detail::command_failure> drain_errors();
 
     /// Forgets the epoch (nodes, segment map, lanes). Requires every node
     /// settled -- call after wait_all(). Ids keep growing monotonically, so

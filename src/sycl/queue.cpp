@@ -1,11 +1,9 @@
 #include "sycl/queue.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
-
-#include <chrono>
-#include <cstdint>
 
 #include "analyze/pipes.hpp"
 #include "analyze/sanitize.hpp"
@@ -19,18 +17,9 @@
 namespace syclite {
 
 namespace fault = altis::fault;
+using altis::metrics::instruments::wall_ns;
 
 namespace {
-
-/// Wall-clock nanoseconds for telemetry; distinct from the simulated
-/// timeline (sim_now_ns_), which must stay byte-identical with metrics off
-/// or on.
-[[nodiscard]] std::uint64_t wall_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 /// Modeled device time of a kernel; `fmax_mhz > 0` clocks an FPGA kernel at
 /// that design Fmax instead of its per-kernel estimate.
@@ -76,9 +65,6 @@ queue::queue(const perf::device_spec& dev, perf::runtime_kind rt,
       recorder_(analyze::recorder::current()) {
     if (prop == queue_property::out_of_order)
         sched_ = std::make_unique<graph::scheduler>(&thread_pool::global());
-    // Sized for a typical timed region; amortizes away the vector growth
-    // that showed up in BM_SubmitDispatch.
-    events_.reserve(256);
     if (trace_ != nullptr) {
         if (trace_->device() == nullptr) trace_->bind_device(dev_);
         trace_base_ns_ = trace_->last_end_ns();
@@ -112,19 +98,53 @@ queue::~queue() {
     }
 }
 
+void queue::emit_span(trace::span s, const perf::kernel_stats* k,
+                      std::optional<double> length) {
+    if (trace_ == nullptr) return;
+    s.start_ns = trace_base_ns_ + s.start_ns;
+    s.end_ns = length ? s.start_ns + *length : trace_base_ns_ + s.end_ns;
+    if (k != nullptr)
+        trace_->record_kernel(*k, s.start_ns, s.end_ns, s.track, 1.0, s.cmd,
+                              std::move(s.deps));
+    else
+        trace_->record(std::move(s));
+}
+
+void queue::charge(trace::span_kind kind, const char* name, double ns,
+                   double bytes) {
+    if (trace_ != nullptr) {
+        trace::span s{kind, name, sim_now_ns_};
+        s.counters.bytes = bytes;
+        emit_span(std::move(s), nullptr, ns);
+    }
+    sim_now_ns_ += ns;
+    non_kernel_ns_ += ns;
+}
+
 void queue::record_error_span(const std::string& label) {
     // Count every error event the queue observes, traced or not.
     if (altis::metrics::collecting())
         altis::metrics::instruments::queue_async_errors().add();
     if (trace_ == nullptr) return;
-    trace::span s{trace::span_kind::overhead, label,
-                  trace_base_ns_ + sim_now_ns_, trace_base_ns_ + sim_now_ns_};
+    trace::span s{trace::span_kind::overhead, label, sim_now_ns_, sim_now_ns_};
     s.status = trace::span_status::failed;
-    trace_->record(std::move(s));
+    emit_span(std::move(s));
 }
 
-event queue::record(const perf::kernel_stats& stats, double duration_ns,
-                    std::string* name) {
+void queue::rethrow_if_cancelled(
+    const std::vector<detail::command_failure>& failed, const char* label) {
+    // Cancellation outranks every other failure: the supervisor pulled the
+    // plug, so the collateral failures are dropped with the sweep. Rethrow
+    // directly -- never routed through an async handler, a cancelled sweep
+    // must unwind.
+    for (const detail::command_failure& f : failed)
+        if (f.outcome.status == detail::command_outcome::kind::cancelled) {
+            record_error_span(label);
+            std::rethrow_exception(f.outcome.error);
+        }
+}
+
+event queue::record(const perf::kernel_stats& stats, double duration_ns) {
     const double launch = perf::launch_overhead_ns(rt_, dev_);
     const double submit = sim_now_ns_;
     const double start = submit + launch;
@@ -132,18 +152,13 @@ event queue::record(const perf::kernel_stats& stats, double duration_ns,
     sim_now_ns_ = end;
     non_kernel_ns_ += launch;
     kernel_ns_ += duration_ns;
+    // The launch is laid against the kernel it precedes (its span ends
+    // exactly where the kernel's starts), as a dataflow group's is.
     if (trace_ != nullptr) {
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + start});
-        trace_->record_kernel(stats, b + start, b + end);
+        emit_span({trace::span_kind::overhead, "launch", submit, start});
+        emit_span({trace::span_kind::kernel, {}, start, end}, &stats);
     }
-    // The trace above is the last reader of stats.name; a donated name is
-    // moved from here on.
-    events_.emplace_back(submit, start, end,
-                         name != nullptr ? std::move(*name)
-                                         : std::string(stats.name));
-    return events_.back();
+    return event(submit, start, end, stats.name);
 }
 
 analyze::node queue::kernel_node(handler& h) const {
@@ -225,8 +240,7 @@ event queue::finish_submit(handler&& h) {
         return event(sim_now_ns_, sim_now_ns_, sim_now_ns_, h.stats().name);
     }
     return record(h.stats(),
-                  kernel_duration_ns(h.stats(), dev_, design_fmax_mhz_),
-                  &h.stats_.name);
+                  kernel_duration_ns(h.stats(), dev_, design_fmax_mhz_));
 }
 
 event queue::finish_submit_graph(handler& h) {
@@ -237,8 +251,7 @@ event queue::finish_submit_graph(handler& h) {
     // in at the join.
     const double launch = perf::launch_overhead_ns(rt_, dev_);
     const double submit = sim_now_ns_;
-    sim_now_ns_ += launch;
-    non_kernel_ns_ += launch;
+    charge(trace::span_kind::overhead, "launch", launch);
     epoch_launch_ns_ += launch;
 
     graph::submission s;
@@ -267,8 +280,8 @@ event queue::finish_submit_graph(handler& h) {
     s.recorder = recorder_;
     const graph::ticket t = sched_->enqueue(std::move(s));
 
-    // Phase two: shadow edges, command-graph node, trace span and the event
-    // log all complete on this thread before release() lets the node run.
+    // Phase two: shadow edges, command-graph node and trace span all
+    // complete on this thread before release() lets the node run.
     // The release is a scope guard: if any of that bookkeeping throws, the
     // node must still be released, or it stays `held` forever and every
     // later join -- including ~queue during unwind -- deadlocks.
@@ -276,15 +289,14 @@ event queue::finish_submit_graph(handler& h) {
     if (recorder_ != nullptr)
         recorder_->add_node(kernel_node(h), t.dep_actors);
     if (trace_ != nullptr) {
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + submit + launch});
-        trace_->record_kernel(h.stats(), b + t.start_ns, b + t.end_ns, t.lane,
-                              1.0, t.id, t.deps);
+        trace::span sp{trace::span_kind::kernel, {}, t.start_ns, t.end_ns,
+                       t.lane};
+        sp.cmd = t.id;
+        sp.deps = t.deps;
+        emit_span(std::move(sp), &h.stats());
     }
-    events_.emplace_back(submit, t.start_ns, t.end_ns, h.stats().name, t.id,
-                         sched_->state());
-    return events_.back();
+    return event(submit, t.start_ns, t.end_ns, h.stats().name, t.id,
+                 sched_->state());
 }
 
 event queue::submit_transfer(bool to_device, void* dst, const void* src,
@@ -298,6 +310,7 @@ event queue::submit_transfer(bool to_device, void* dst, const void* src,
         return e;
     }
     join_graph();
+    const double submit = sim_now_ns_;
     annotate_transfer(static_cast<double>(bytes));
     if (recorder_ != nullptr)
         recorder_->record_transfer(queue_id_,
@@ -305,7 +318,7 @@ event queue::submit_transfer(bool to_device, void* dst, const void* src,
                                              : analyze::node_kind::transfer_out,
                                    to_device ? dst : src, bytes);
     if (raw) altis::mem::copy_bytes(dst, src, bytes);
-    return events_.back();
+    return event(submit, submit, sim_now_ns_);
 }
 
 event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
@@ -337,34 +350,24 @@ event queue::submit_transfer_graph(bool to_device, void* dst_ptr,
                       : analyze::node_kind::transfer_out,
             to_device ? dst_ptr : src_ptr, bytes, &t.dep_actors);
     if (trace_ != nullptr) {
-        trace::span sp{trace::span_kind::transfer, "transfer",
-                       trace_base_ns_ + t.start_ns,
-                       trace_base_ns_ + t.end_ns};
+        trace::span sp{trace::span_kind::transfer, "transfer", t.start_ns,
+                       t.end_ns, t.lane};  // lane 1: the modeled PCIe lane
         sp.counters.bytes = static_cast<double>(bytes);
-        sp.track = t.lane;  // 1: the modeled PCIe lane
         sp.cmd = t.id;
         sp.deps = t.deps;
-        trace_->record(std::move(sp));
+        emit_span(std::move(sp));
     }
-    events_.emplace_back(submit, t.start_ns, t.end_ns, std::string(), t.id,
-                         sched_->state());
-    return events_.back();
+    return event(submit, t.start_ns, t.end_ns, std::string(), t.id,
+                 sched_->state());
 }
 
 void queue::collect_graph_errors() {
     if (sched_ == nullptr) return;
-    std::vector<graph::completion> failed = sched_->drain_errors();
-    // Cancellation outranks node errors, exactly as in dataflow groups: the
-    // supervisor pulled the plug, so it unwinds directly and the collateral
-    // failures are dropped with the sweep.
-    for (const graph::completion& c : failed)
-        if (c.cancelled) {
-            record_error_span("graph cancelled");
-            std::rethrow_exception(c.error);
-        }
-    for (graph::completion& c : failed) {
-        record_error_span(error_label(c.name, c.error));
-        async_errors_.push_back(std::move(c.error));
+    std::vector<detail::command_failure> failed = sched_->drain_errors();
+    rethrow_if_cancelled(failed, "graph cancelled");
+    for (detail::command_failure& f : failed) {
+        record_error_span(error_label(f.name, f.outcome.error));
+        async_errors_.push_back(std::move(f.outcome.error));
     }
 }
 
@@ -405,10 +408,8 @@ void queue::join_graph() {
         // session excludes from its wall-time sums; the epoch's kernel wall
         // share is published as group spans over the union intervals, the
         // same convention dataflow regions use.
-        const double b = trace_base_ns_;
         for (const auto& [s, e] : merged)
-            trace_->record(
-                {trace::span_kind::dataflow_group, "graph epoch", b + s, b + e});
+            emit_span({trace::span_kind::dataflow_group, "graph epoch", s, e});
     }
     sim_now_ns_ = std::max(sim_now_ns_, horizon);
     const double elapsed = sim_now_ns_ - epoch_start_ns_;
@@ -478,7 +479,8 @@ void queue::launch_dataflow_workers() {
                     thread_pool::global());
                 if (o.status == detail::command_outcome::kind::ok) return;
                 std::lock_guard lock(worker_errors_mutex_);
-                worker_errors_.push_back({index, std::move(name), std::move(o)});
+                worker_errors_.push_back(
+                    {index, std::move(name), std::move(o)});
             });
     }
     pending_work_.clear();
@@ -529,32 +531,26 @@ std::vector<event> queue::end_dataflow() {
     // group's members.
     if (recorder_ != nullptr) recorder_->join_host(queue_id_);
     if (!worker_errors_.empty()) {
-        std::vector<worker_error> errors = std::move(worker_errors_);
+        std::vector<detail::command_failure> errors = std::move(worker_errors_);
         worker_errors_.clear();
         pending_stats_.clear();
         // Delivery order is submission order, independent of which worker
         // thread lost the race to report first.
         std::sort(errors.begin(), errors.end(),
-                  [](const worker_error& a, const worker_error& b) {
+                  [](const detail::command_failure& a,
+                     const detail::command_failure& b) {
                       return a.index < b.index;
                   });
-        // Cancellation outranks every other failure in the group: the
-        // supervisor pulled the plug, so peers that then saw a dead pipe are
-        // collateral. Rethrow directly -- never routed through an async
-        // handler, a cancelled sweep must unwind.
+        // Peers that saw a dead pipe after a cancellation are collateral.
+        rethrow_if_cancelled(errors, "dataflow cancelled");
         using kind = detail::command_outcome::kind;
-        for (const auto& we : errors)
-            if (we.outcome.status == kind::cancelled) {
-                record_error_span("dataflow cancelled");
-                std::rethrow_exception(we.outcome.error);
-            }
         std::vector<std::string> blocked;
         std::string detail;
         for (const auto& we : errors) {
             if (we.outcome.status != kind::pipe_blocked) continue;
-            blocked.push_back(we.kernel);
+            blocked.push_back(we.name);
             if (!detail.empty()) detail += "; ";
-            detail += we.kernel + ": " + we.outcome.detail;
+            detail += we.name + ": " + we.outcome.detail;
         }
         exception_list list;
         if (!blocked.empty()) {
@@ -601,23 +597,20 @@ std::vector<event> queue::end_dataflow() {
     if (trace_ != nullptr && !durations.empty()) {
         // The group's wall-clock envelope sits on the main lane; each member
         // kernel gets its own lane so exporters show the overlap (Fig. 3).
-        const double b = trace_base_ns_;
-        trace_->record({trace::span_kind::overhead, "launch", b + submit,
-                        b + start});
+        emit_span({trace::span_kind::overhead, "launch", submit, start});
         std::string label = "dataflow";
         for (const auto& s : pending_stats_) label += ":" + s.name;
-        trace_->record({trace::span_kind::dataflow_group, label, b + start,
-                        b + group_end});
+        emit_span({trace::span_kind::dataflow_group, std::move(label), start,
+                   group_end});
         for (std::size_t i = 0; i < durations.size(); ++i)
-            trace_->record_kernel(pending_stats_[i], b + start,
-                                  b + start + durations[i],
-                                  static_cast<int>(i) + 1);
+            emit_span({trace::span_kind::kernel, {}, start, 0.0,
+                       static_cast<int>(i) + 1},
+                      &pending_stats_[i], durations[i]);
         if (durations.size() > 1)
-            trace_->record({trace::span_kind::overhead, "launch drain",
-                            b + group_end, b + sim_now_ns_});
+            emit_span({trace::span_kind::overhead, "launch drain", group_end,
+                       sim_now_ns_});
     }
     pending_stats_.clear();
-    events_.insert(events_.end(), evs.begin(), evs.end());
     return evs;
 }
 
@@ -643,13 +636,7 @@ void queue::wait() {
         graph_pending = sched_->pending_count();
         join_graph();
     }
-    const double sync = perf::sync_overhead_ns(rt_, dev_);
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::sync, "wait",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + sync});
-    sim_now_ns_ += sync;
-    non_kernel_ns_ += sync;
+    charge(trace::span_kind::sync, "wait", perf::sync_overhead_ns(rt_, dev_));
     epoch_start_ns_ = sim_now_ns_;
     if (recorder_ != nullptr)
         recorder_->record_wait(queue_id_, sched_ != nullptr, graph_pending);
@@ -657,13 +644,7 @@ void queue::wait() {
 }
 
 void queue::annotate_overhead_ns(double ns) {
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::overhead, "overhead",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + ns});
-    events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + ns);
-    sim_now_ns_ += ns;
-    non_kernel_ns_ += ns;
+    charge(trace::span_kind::overhead, "overhead", ns);
 }
 
 void queue::annotate_transfer(double bytes) {
@@ -675,17 +656,8 @@ void queue::annotate_transfer(double bytes) {
         record_error_span(std::string("error: ") + e.what());
         throw;
     }
-    const double t = perf::transfer_ns(rt_, dev_, bytes);
-    if (trace_ != nullptr) {
-        trace::span s{trace::span_kind::transfer, "transfer",
-                      trace_base_ns_ + sim_now_ns_,
-                      trace_base_ns_ + sim_now_ns_ + t};
-        s.counters.bytes = bytes;
-        trace_->record(std::move(s));
-    }
-    events_.emplace_back(sim_now_ns_, sim_now_ns_, sim_now_ns_ + t);
-    sim_now_ns_ += t;
-    non_kernel_ns_ += t;
+    charge(trace::span_kind::transfer, "transfer",
+           perf::transfer_ns(rt_, dev_, bytes), bytes);
 }
 
 void queue::reset_timers() {
@@ -698,17 +670,10 @@ void queue::reset_timers() {
     non_kernel_ns_ = 0.0;
     epoch_start_ns_ = 0.0;
     epoch_launch_ns_ = 0.0;
-    events_.clear();
 }
 
 void queue::charge_setup() {
-    const double t = perf::setup_overhead_ns(rt_, dev_);
-    if (trace_ != nullptr)
-        trace_->record({trace::span_kind::setup, "setup",
-                        trace_base_ns_ + sim_now_ns_,
-                        trace_base_ns_ + sim_now_ns_ + t});
-    sim_now_ns_ += t;
-    non_kernel_ns_ += t;
+    charge(trace::span_kind::setup, "setup", perf::setup_overhead_ns(rt_, dev_));
 }
 
 }  // namespace syclite

@@ -4,10 +4,19 @@
 //
 //   submit --(launch overhead: non-kernel)--> start --(kernel model)--> end
 //
-// Events expose the simulated start/end like sycl::event profiling info.
-// Dataflow groups (begin_dataflow/end_dataflow) run their kernels on real
-// concurrent threads -- required for pipe communication -- and overlap them
-// on the simulated timeline (paper Fig. 3).
+// Events expose the simulated start/end like sycl::event profiling info;
+// submit(), the copies and end_dataflow() return the events they build (the
+// queue keeps no log of them). Dataflow groups (begin_dataflow/end_dataflow)
+// run their kernels on real concurrent threads -- required for pipe
+// communication -- and overlap them on the simulated timeline (paper Fig. 3).
+//
+// Timeline bookkeeping has one site per concept (DESIGN.md Sec. 4a): every
+// host-clock charge (setup, graph launch, eager transfer, overhead, wait
+// sync) goes through charge(); every span reaches the trace session through
+// emit_span(), the only place the session offset is applied; every failed
+// command is a detail::command_failure. Three folds advance the clock with
+// arithmetic of their own, kept verbatim so no modeled timestamp moves: the
+// in-order kernel (record), the graph join and the dataflow group.
 //
 // Error model (SYCL-conformant, see sycl/error.hpp): a queue may carry an
 // async_handler. Errors raised by kernel execution -- including injected
@@ -32,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -165,8 +175,6 @@ public:
     /// non-kernel region; apps call this at the start of a timed region.
     void charge_setup();
 
-    [[nodiscard]] const std::vector<event>& events() const { return events_; }
-
     /// Tracing. The constructor adopts trace::session::current(), so a
     /// session activated around queue construction observes every command;
     /// set_trace() overrides (nullptr detaches). Spans land on the simulated
@@ -190,13 +198,6 @@ public:
     [[nodiscard]] analyze::recorder* recorder() const { return recorder_; }
 
 private:
-    /// One failed dataflow worker, keyed by submission order.
-    struct worker_error {
-        std::size_t index = 0;
-        std::string kernel;
-        detail::command_outcome outcome;
-    };
-
     /// One dataflow kernel accepted but not yet started: under a dataflow
     /// group, submissions are deferred and launched together at
     /// end_dataflow(), which lets the sanitizer lint the group's complete
@@ -214,7 +215,7 @@ private:
     /// enqueues it (out-of-order).
     event finish_submit(handler&& h);
     /// Out-of-order path of submit(): two-phase enqueue onto the graph
-    /// scheduler (enqueue -> recorder/trace/events bookkeeping -> release).
+    /// scheduler (enqueue -> recorder/trace bookkeeping -> release).
     event finish_submit_graph(handler& h);
     /// The non-template half of copy_to_device/copy_from_device. `raw`
     /// (trivially copyable elements) copies the bytes here, as a graph node on
@@ -236,12 +237,26 @@ private:
     /// Moves settled node failures into async_errors_ (submission order)
     /// without joining; rethrows directly on cancellation.
     void collect_graph_errors();
-    /// Appends the kernel event; when `name` is non-null its string is moved
-    /// into the event instead of copying stats.name (submissions own their
-    /// handler, so finish_submit can donate the name it no longer needs).
-    event record(const perf::kernel_stats& stats, double duration_ns,
-                 std::string* name = nullptr);
+    /// In-order kernel: charges launch + modeled duration to the clock and
+    /// returns the kernel's event.
+    event record(const perf::kernel_stats& stats, double duration_ns);
+    /// The one host-clock charge: `ns` of non-kernel time at the current
+    /// clock, traced as a `kind` span (`bytes` fills a transfer's counter).
+    void charge(trace::span_kind kind, const char* name, double ns,
+                double bytes = 0.0);
+    /// The one site that puts a span on the session timeline (no-op when
+    /// untraced). `s` carries queue-local times, shifted here by the session
+    /// offset; a span given a `length` ends that far past its shifted start
+    /// instead (the two sums can differ in the last bit). `k` makes it a
+    /// kernel span carrying the descriptor's model counters.
+    void emit_span(trace::span s, const perf::kernel_stats* k = nullptr,
+                   std::optional<double> length = std::nullopt);
     void record_error_span(const std::string& label);
+    /// Cancellation outranks every other failure of a graph epoch or a
+    /// dataflow group: records `label` and rethrows the first cancelled
+    /// failure, if any.
+    void rethrow_if_cancelled(const std::vector<detail::command_failure>& failed,
+                              const char* label);
     void deliver(exception_list errors);
     void launch_dataflow_workers();
 
@@ -250,15 +265,15 @@ private:
     trace::session* trace_ = nullptr;
     /// Session-timeline offset for emitted spans: each queue's simulated
     /// clock starts at 0, but a session may outlive many queues (altis_run
-    /// over several apps), so spans are shifted to append after whatever the
-    /// session already holds. Queue-local timers/events are unaffected.
+    /// over several apps), so emit_span shifts spans to append after
+    /// whatever the session already holds. Queue-local timers/events are
+    /// unaffected.
     double trace_base_ns_ = 0.0;
     double design_fmax_mhz_ = 0.0;  ///< 0: estimate per kernel
 
     double sim_now_ns_ = 0.0;
     double kernel_ns_ = 0.0;
     double non_kernel_ns_ = 0.0;
-    std::vector<event> events_;
 
     async_handler handler_;
     /// Errors from sequential submissions awaiting delivery (handler set).
@@ -268,7 +283,7 @@ private:
     std::vector<perf::kernel_stats> pending_stats_;
     std::vector<pending_work> pending_work_;
     std::vector<std::thread> pending_threads_;
-    std::vector<worker_error> worker_errors_;
+    std::vector<detail::command_failure> worker_errors_;
     std::mutex worker_errors_mutex_;
 
     analyze::recorder* recorder_ = nullptr;

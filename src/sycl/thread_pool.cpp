@@ -1,7 +1,6 @@
 #include "sycl/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 
 #include "mem/transfer.hpp"
@@ -12,13 +11,7 @@ namespace syclite {
 
 namespace {
 
-/// Nanoseconds since an arbitrary epoch; used to meter busy/idle stretches.
-[[nodiscard]] std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
+using altis::metrics::instruments::wall_ns;
 
 /// Bridge handed to altis::mem so large host<->device copies fan out as
 /// chunked memcpy jobs on the global pool. A plain function pointer keeps
@@ -66,7 +59,7 @@ void thread_pool::run_job(job& j) {
     // workers.
     altis::analyze::shadow::actor_scope actor(j.actor);
     const bool metered = altis::metrics::collecting();
-    const std::uint64_t t0 = metered ? now_ns() : 0;
+    const std::uint64_t t0 = metered ? wall_ns() : 0;
     std::uint64_t chunks = 0;
     for (;;) {
         // Observe cooperative cancellation between chunks: workers must not
@@ -82,7 +75,7 @@ void thread_pool::run_job(job& j) {
     }
     if (metered) {
         namespace mi = altis::metrics::instruments;
-        mi::pool_worker_busy_ns().add(now_ns() - t0);
+        mi::pool_worker_busy_ns().add(wall_ns() - t0);
         mi::pool_chunks().add(chunks);
     }
 }
@@ -98,7 +91,7 @@ void thread_pool::worker_loop() {
         job* j = nullptr;
         {
             const bool meter_idle = altis::metrics::collecting();
-            const std::uint64_t idle_from = meter_idle ? now_ns() : 0;
+            const std::uint64_t idle_from = meter_idle ? wall_ns() : 0;
             std::unique_lock lock(mutex_);
             wake_.wait(lock, [&] {
                 return stop_ || !tasks_.empty() ||
@@ -106,7 +99,7 @@ void thread_pool::worker_loop() {
             });
             if (meter_idle)
                 altis::metrics::instruments::pool_worker_idle_ns().add(
-                    now_ns() - idle_from);
+                    wall_ns() - idle_from);
             if (stop_) return;
             if (!tasks_.empty()) {
                 // Tasks drain ahead of jobs: a posted graph dispatch usually
@@ -157,7 +150,7 @@ void thread_pool::parallel_for(std::size_t n,
         // Serial fallback still meters busy time: on single-core hosts the
         // global pool has no workers and this is the only execution path.
         const bool metered = altis::metrics::collecting();
-        const std::uint64_t t0 = metered ? now_ns() : 0;
+        const std::uint64_t t0 = metered ? wall_ns() : 0;
         for (std::size_t i = 0; i < n; ++i) {
             // Masked so the disabled-token fast path costs one relaxed load
             // per 1024 iterations, not per iteration.
@@ -166,7 +159,7 @@ void thread_pool::parallel_for(std::size_t n,
         }
         if (metered) {
             namespace mi = altis::metrics::instruments;
-            mi::pool_worker_busy_ns().add(now_ns() - t0);
+            mi::pool_worker_busy_ns().add(wall_ns() - t0);
             mi::pool_chunks().add();
         }
         return;

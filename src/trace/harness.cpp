@@ -146,15 +146,13 @@ int cli_harness::parse(int argc, char** argv) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
-    if (flags_.resilience.enabled()) {
-        try {
-            supervisor_.emplace(flags_.resilience, session_.name());
-        } catch (const std::runtime_error& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 2;
-        }
-        resilience::install_signal_cancellation();
+    try {
+        supervisor_.emplace(flags_.resilience, session_.name());
+    } catch (const std::runtime_error& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
     }
+    if (flags_.resilience.enabled()) resilience::install_signal_cancellation();
     if (flags_.sanitize.enabled()) {
         recorder_.emplace(flags_.sanitize.lv);
         sanitize_scope_.emplace(*recorder_);

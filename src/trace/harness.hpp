@@ -67,12 +67,14 @@ public:
 
     /// Parses argv (handling --help, unknown options and bad values: exit
     /// code 2) and switches on what the flags ask for, for the binary's
-    /// lifetime: a supervisor (--deadline-ms/--journal/--resume; validates a
-    /// --resume journal against the harness name and installs SIGINT/SIGTERM
-    /// cooperative cancellation), the sanitizer recorder, the compiled fault
-    /// plan (a malformed spec is exit code 2), a metrics session and the
-    /// current trace session (only with --trace/--profile). Returns a process
-    /// exit code when main should return immediately, -1 to continue.
+    /// lifetime: the sweep supervisor (always; its circuit breaker is armed
+    /// on every sweep, and --deadline-ms/--journal/--resume add the rest --
+    /// validating a --resume journal against the harness name and installing
+    /// SIGINT/SIGTERM cooperative cancellation), the sanitizer recorder, the
+    /// compiled fault plan (a malformed spec is exit code 2), a metrics
+    /// session and the current trace session (only with --trace/--profile).
+    /// Returns a process exit code when main should return immediately, -1
+    /// to continue.
     [[nodiscard]] int parse(int argc, char** argv);
 
     /// Runs the sanitizer, then stops metrics (so its series merge into the
@@ -85,10 +87,8 @@ public:
     [[nodiscard]] OptionParser& parser() { return opts_; }
     [[nodiscard]] session& trace_session() { return session_; }
     [[nodiscard]] const harness_options& flags() const { return flags_; }
-    /// Null unless a supervisor feature was requested.
-    [[nodiscard]] resilience::supervisor* supervisor() {
-        return supervisor_ ? &*supervisor_ : nullptr;
-    }
+    /// The sweep supervisor; valid once parse() returned -1.
+    [[nodiscard]] resilience::supervisor& supervisor() { return *supervisor_; }
 
 private:
     OptionParser opts_;

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "apps/common/region.hpp"
 #include "apps/kmeans/kmeans.hpp"
@@ -207,7 +212,7 @@ TEST(QueueTrace, EventsCarryKernelNamesWithoutASession) {
     ASSERT_EQ(session::current(), nullptr);
     syclite::queue q("rtx_2080");
     syclite::buffer<int> b(64);
-    q.submit([&](syclite::handler& h) {
+    const syclite::event k = q.submit([&](syclite::handler& h) {
         auto acc = h.get_access(b, syclite::access_mode::discard_write);
         h.parallel_for(
             syclite::nd_range<1>(syclite::range<1>(64), syclite::range<1>(64)),
@@ -216,10 +221,196 @@ TEST(QueueTrace, EventsCarryKernelNamesWithoutASession) {
     });
     std::vector<float> host(16, 0.0f);
     syclite::buffer<float> fb(host.size());
-    q.copy_to_device(fb, host.data());
-    ASSERT_EQ(q.events().size(), 2u);
-    EXPECT_EQ(q.events()[0].name(), "lonely");
-    EXPECT_EQ(q.events()[1].name(), "");  // transfers are anonymous commands
+    const syclite::event c = q.copy_to_device(fb, host.data());
+    EXPECT_EQ(k.name(), "lonely");
+    EXPECT_EQ(c.name(), "");  // transfers are anonymous commands
+}
+
+/// FNV-1a 64 over a span's identity and the bit patterns of its timestamps
+/// and counters, chained across spans.
+std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+template <typename T>
+std::uint64_t fnv1a(const T& v, std::uint64_t h) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return fnv1a(&v, sizeof v, h);
+}
+
+std::uint64_t span_digest(const std::vector<span>& spans) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const span& sp : spans) {
+        h = fnv1a(static_cast<int>(sp.kind), h);
+        h = fnv1a(sp.name.size(), h);
+        h = fnv1a(sp.name.data(), sp.name.size(), h);
+        h = fnv1a(sp.track, h);
+        h = fnv1a(sp.cmd, h);
+        h = fnv1a(sp.deps.size(), h);
+        for (const std::uint64_t d : sp.deps) h = fnv1a(d, h);
+        for (const double v : {sp.start_ns, sp.end_ns, sp.counters.flops,
+                               sp.counters.bytes, sp.counters.occupancy,
+                               sp.counters.divergence,
+                               sp.counters.invocations})
+            h = fnv1a(std::bit_cast<std::uint64_t>(v), h);
+        h = fnv1a(sp.counters.initiation_interval, h);
+    }
+    return h;
+}
+
+/// Every span the queue's three command paths emit, pinned bit for bit:
+/// an in-order queue, an out-of-order graph (lanes, copies, explicit and
+/// implied edges, the join's epoch envelope) and a piped dataflow group
+/// (member lanes, group envelope, launch drain). The digest was recorded
+/// before the queue's timeline bookkeeping was consolidated; no modeled
+/// timestamp may move.
+TEST(QueueTrace, SpanDigestAcrossQueuePaths) {
+    using syclite::access_mode;
+    using syclite::handler;
+    // Heavy enough (O(100 us) modeled) that independent graph kernels
+    // overlap past the per-submit launch overhead.
+    constexpr std::size_t n = std::size_t{1} << 16;
+    const auto range = syclite::nd_range<1>(syclite::range<1>(n),
+                                            syclite::range<1>(64));
+    auto heavy = [](const char* name) {
+        perf::kernel_stats k = named_stats(name);
+        k.fp32_ops = 20000.0;
+        return k;
+    };
+    session s("t");
+    session::scope scope(s);
+    std::vector<float> host(n, 1.0f);
+    {
+        // Every queue below then starts at a nonzero session offset, as in
+        // a multi-app session: each span endpoint is a sum with the offset.
+        syclite::queue warm("rtx_2080");
+        warm.charge_setup();
+    }
+
+    // In-order: setup, copy, kernels, overhead, sync.
+    syclite::queue inorder("rtx_2080");
+    syclite::buffer<float> ib(n);
+    inorder.charge_setup();
+    inorder.copy_to_device(ib, host.data());
+    for (const char* name : {"scale", "shift"})
+        inorder.submit([&](handler& h) {
+            auto acc = h.get_access(ib, access_mode::read_write);
+            h.parallel_for(range, heavy(name), [=](syclite::nd_item<1> it) {
+                acc[it.get_global_id(0)] += 1.0f;
+            });
+        });
+    inorder.annotate_overhead_ns(250.0);
+    inorder.wait();
+
+    // Out-of-order: two independent kernels, a depends_on consumer, raw
+    // copies in and out.
+    const double ooo_base = s.last_end_ns();
+    syclite::queue ooo("rtx_2080", syclite::queue_property::out_of_order);
+    syclite::buffer<float> a(n), b(n), c(n);
+    std::vector<float> back(n, 0.0f);
+    const syclite::event in = ooo.copy_to_device(a, host.data());
+    auto produce = [&](syclite::buffer<float>& buf, const char* name) {
+        return ooo.submit([&](handler& h) {
+            auto acc = h.get_access(buf, access_mode::discard_write);
+            h.parallel_for(range, heavy(name), [=](syclite::nd_item<1> it) {
+                acc[it.get_global_id(0)] = 2.0f;
+            });
+        });
+    };
+    const syclite::event pb = produce(b, "left");
+    const syclite::event pc = produce(c, "right");
+    const syclite::event sum = ooo.submit([&](handler& h) {
+        h.depends_on(pb);
+        auto x = h.get_access(c, access_mode::read);
+        auto y = h.get_access(a, access_mode::read_write);
+        h.parallel_for(range, heavy("join"), [=](syclite::nd_item<1> it) {
+            y[it.get_global_id(0)] += x[it.get_global_id(0)];
+        });
+    });
+    const syclite::event out = ooo.copy_from_device(a, back.data());
+    ooo.wait();
+    EXPECT_EQ(back[0], 3.0f);
+
+    // Dataflow: a three-stage pipe chain.
+    syclite::queue df("stratix_10");
+    syclite::pipe<int> p1(16), p2(16);
+    syclite::buffer<int> sink(100);
+    auto stage = [](const char* name, bool reads, bool writes, double trips) {
+        perf::kernel_stats k = named_stats(name);
+        k.reads_pipe = reads;
+        k.writes_pipe = writes;
+        perf::loop_info loop;
+        loop.trip_count = trips;
+        k.loops.push_back(loop);
+        return k;
+    };
+    df.begin_dataflow();
+    df.submit([&](handler& h) {
+        h.single_task(stage("src", false, true, 1e5), [&p1] {
+            for (int i = 0; i < 100; ++i) p1.write(i);
+        });
+    });
+    df.submit([&](handler& h) {
+        h.single_task(stage("mid", true, true, 1e3), [&p1, &p2] {
+            for (int i = 0; i < 100; ++i) p2.write(p1.read() * 2);
+        });
+    });
+    df.submit([&](handler& h) {
+        auto acc = h.get_access(sink, access_mode::discard_write);
+        h.single_task(stage("dst", true, false, 100), [&p2, acc] {
+            for (int i = 0; i < 100; ++i) acc[i] = p2.read();
+        });
+    });
+    const std::vector<syclite::event> members = df.end_dataflow();
+    ASSERT_EQ(members.size(), 3u);
+
+    // Structure: graph kernels on lanes >= 2, graph copies on lane 1, span
+    // ids equal to event ids, the consumer's edges naming its producers.
+    auto by_cmd = [&](const syclite::event& e) -> const span& {
+        const auto it = std::find_if(
+            s.spans().begin(), s.spans().end(),
+            [&](const span& sp) { return sp.cmd == e.command_id(); });
+        if (it == s.spans().end())
+            throw std::runtime_error("no span for command " +
+                                     std::to_string(e.command_id()));
+        return *it;
+    };
+    for (const syclite::event& e : {in, pb, pc, sum, out}) {
+        ASSERT_NE(e.command_id(), 0u);
+        const span& sp = by_cmd(e);
+        EXPECT_EQ(sp.cmd, e.command_id());
+        EXPECT_EQ(sp.start_ns, ooo_base + e.profiling_start_ns());
+        EXPECT_EQ(sp.end_ns, ooo_base + e.profiling_end_ns());
+    }
+    EXPECT_EQ(by_cmd(in).track, 1);
+    EXPECT_EQ(by_cmd(out).track, 1);
+    for (const syclite::event& e : {pb, pc, sum}) {
+        EXPECT_EQ(by_cmd(e).kind, span_kind::kernel);
+        EXPECT_GE(by_cmd(e).track, 2);
+    }
+    EXPECT_NE(by_cmd(pb).track, by_cmd(pc).track);  // overlapped on lanes
+    const std::vector<std::uint64_t>& deps = by_cmd(sum).deps;
+    for (const syclite::event& e : {in, pb, pc})
+        EXPECT_NE(std::find(deps.begin(), deps.end(), e.command_id()),
+                  deps.end())
+            << "join lacks an edge to command " << e.command_id();
+    auto named = [&](const char* name) {
+        return std::count_if(s.spans().begin(), s.spans().end(),
+                             [&](const span& sp) { return sp.name == name; });
+    };
+    EXPECT_GE(named("graph epoch"), 1);
+    EXPECT_EQ(named("launch drain"), 1);
+    EXPECT_EQ(named("dataflow:src:mid:dst"), 1);
+    EXPECT_NEAR(s.kernel_ns(),
+                inorder.kernel_ns() + ooo.kernel_ns() + df.kernel_ns(), 1e-9);
+
+    EXPECT_EQ(span_digest(s.spans()), 0xd70bd160ba003aa6ULL)
+        << std::hex << "digest 0x" << span_digest(s.spans());
 }
 
 TEST(RegionTrace, SimulatedRegionEmitsBalancedSpans) {
