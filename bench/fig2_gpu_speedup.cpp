@@ -15,7 +15,6 @@
 #include "apps/common/suite.hpp"
 #include "core/report.hpp"
 #include "core/result_database.hpp"
-#include "fault/retry.hpp"
 #include "trace/harness.hpp"
 
 namespace {
@@ -25,7 +24,7 @@ using altis::Variant;
 namespace bench = altis::bench;
 namespace apps = altis::apps;
 namespace perf = altis::perf;
-namespace fault = altis::fault;
+namespace resilience = altis::resilience;
 
 double speedup(const bench::SuiteEntry& e, Variant sycl_variant, int size) {
     const perf::device_spec& rtx = perf::device_by_name("rtx_2080");
@@ -50,9 +49,7 @@ double speedup(const bench::SuiteEntry& e, Variant sycl_variant, int size) {
 
 void panel(const char* title, Variant v,
            const std::array<double, 3> bench::SuiteEntry::* paper,
-           const fault::retry_policy& policy, bool fail_fast, bool log_all,
-           altis::resilience::supervisor& sup,
-           altis::ResultDatabase& outcomes) {
+           resilience::supervisor& sup, altis::ResultDatabase& outcomes) {
     std::cout << "== " << title << " ==\n";
     Table t({"Application", "Size 1", "Size 2", "Size 3", "Paper S1",
              "Paper S2", "Paper S3"});
@@ -61,31 +58,23 @@ void panel(const char* title, Variant v,
         if (!e.in_fig2) continue;
         std::vector<std::string> row{e.label};
         for (int size : {1, 2, 3}) {
-            const std::string label = bench::config_label(e, v, "rtx_2080", size);
-            bench::ConfigOutcome co;
-            const auto res =
-                sup.run(label, e.label + "/" + to_string(v) + "/rtx_2080", [&] {
-                    co.oc = fault::run_guarded(
-                        [&] { co.ms = speedup(e, v, size); }, policy,
-                        fail_fast);
-                    if (!co.oc.succeeded()) co.ms.reset();
-                    return bench::outcome_to_entry(label, co);
-                });
-            if (res.replayed || res.entry.status == "quarantined")
-                co = bench::entry_to_outcome(res.entry);
-            if (!res.replayed) bench::emit_degraded_span(label, co.oc);
-            const fault::outcome& oc = co.oc;
-            if (log_all || !oc.succeeded() || oc.retried())
-                fault::record_outcome(outcomes, label, oc);
-            if (!oc.succeeded()) {
-                row.push_back(oc.st == fault::outcome::status::failed
+            const resilience::journal_entry cell =
+                sup.run(apps::config_label(e.label, v, "rtx_2080", size),
+                        apps::breaker_key(e.label, v, "rtx_2080"),
+                        [&](resilience::journal_entry& out) {
+                            out.value = speedup(e, v, size);
+                        })
+                    .entry;
+            sup.record(outcomes, cell);
+            if (!cell.oc.succeeded()) {
+                row.push_back(cell.oc.st == resilience::outcome::status::failed
                                   ? "FAILED"
-                                  : oc.label());
+                                  : cell.oc.label());
                 continue;
             }
             db.add_result("speedup_size" + std::to_string(size), e.label, "x",
-                          *co.ms);
-            row.push_back(Table::num(*co.ms, 2));
+                          *cell.value);
+            row.push_back(Table::num(*cell.value, 2));
         }
         for (int i = 0; i < 3; ++i)
             row.push_back(
@@ -105,32 +94,24 @@ int main(int argc, char** argv) {
     altis::trace::cli_harness trace_harness("fig2_gpu_speedup");
     if (const int rc = trace_harness.parse(argc, argv); rc >= 0) return rc;
 
-    const auto& policy = trace_harness.flags().fault.policy;
-    const bool fail_fast = trace_harness.flags().fault.fail_fast;
-    // Every outcome is logged when injecting or supervising beyond the
-    // breaker; a clean run keeps the historical report.
-    const bool log_all = trace_harness.flags().fault.enabled() ||
-                         trace_harness.flags().resilience.enabled();
-    altis::resilience::supervisor& sup = trace_harness.supervisor();
+    resilience::supervisor& sup = trace_harness.supervisor();
 
     std::cout << "Figure 2: Speedup of Altis-SYCL over Altis (CUDA) on the "
                  "RTX 2080\n\n";
     altis::ResultDatabase outcomes;
     try {
         panel("Baseline (DPCT migration, functionally correct)",
-              Variant::sycl_base, &bench::SuiteEntry::paper_fig2_baseline,
-              policy, fail_fast, log_all, sup, outcomes);
+              Variant::sycl_base, &bench::SuiteEntry::paper_fig2_baseline, sup,
+              outcomes);
         std::cout << "paper geomean reference: optimized 1.0 / 1.1 / 1.3\n\n";
         panel("Optimized (Sec. 3.3)", Variant::sycl_opt,
-              &bench::SuiteEntry::paper_fig2_optimized, policy, fail_fast,
-              log_all, sup, outcomes);
+              &bench::SuiteEntry::paper_fig2_optimized, sup, outcomes);
     } catch (const std::exception& e) {
         std::cerr << "aborting (--fail-fast): " << e.what() << "\n";
         return 1;
     }
     altis::print_outcomes(outcomes, std::cout);
     if (const int rc = trace_harness.finish(); rc != 0) return rc;
-    if (altis::resilience::interrupted())
-        return 128 + altis::resilience::interrupt_signal();
+    if (resilience::interrupted()) return 128 + resilience::interrupt_signal();
     return outcomes.all_outcomes_ok() ? 0 : 1;
 }

@@ -20,14 +20,9 @@ int main(int argc, char** argv) {
     using altis::Table;
     using altis::Variant;
     namespace bench = altis::bench;
-
-    const auto& policy = trace_harness.flags().fault.policy;
-    const bool fail_fast = trace_harness.flags().fault.fail_fast;
-    // Every outcome is logged when injecting or supervising beyond the
-    // breaker; a clean run keeps the historical report.
-    const bool log_all = trace_harness.flags().fault.enabled() ||
-                         trace_harness.flags().resilience.enabled();
-    altis::resilience::supervisor& sup = trace_harness.supervisor();
+    namespace resilience = altis::resilience;
+    using status = resilience::outcome::status;
+    resilience::supervisor& sup = trace_harness.supervisor();
 
     std::cout << "Figure 4: Speedup of FPGA Optimized over FPGA Baseline on "
                  "Stratix 10\n\n";
@@ -40,38 +35,32 @@ int main(int argc, char** argv) {
             std::vector<std::string> row{e.label};
             for (int size : {1, 2, 3}) {
                 const auto base = bench::run_config(e, Variant::fpga_base,
-                                                    "stratix_10", size, policy,
-                                                    fail_fast, sup);
+                                                    "stratix_10", size, sup);
                 const auto opt = bench::run_config(e, Variant::fpga_opt,
-                                                   "stratix_10", size, policy,
-                                                   fail_fast, sup);
-                bench::record_config_outcome(
-                    db, bench::config_label(e, Variant::fpga_base, "stratix_10", size),
-                    base, log_all);
-                bench::record_config_outcome(
-                    db, bench::config_label(e, Variant::fpga_opt, "stratix_10", size),
-                    opt, log_all);
-                if (base.oc.st == altis::fault::outcome::status::failed ||
-                    opt.oc.st == altis::fault::outcome::status::failed) {
+                                                   "stratix_10", size, sup);
+                sup.record(db, base);
+                sup.record(db, opt);
+                if (base.oc.st == status::failed ||
+                    opt.oc.st == status::failed) {
                     row.push_back("FAILED");
                     continue;
                 }
                 // Other degraded terminal states (deadline, cancelled,
-                // quarantined) only occur under the supervisor; name them
-                // instead of conflating them with nonexistent "n/a" cells.
-                if (!base.oc.succeeded() && !base.skipped) {
+                // quarantined): name them instead of conflating them with
+                // nonexistent "n/a" cells.
+                if (!base.oc.succeeded() && base.oc.st != status::skipped) {
                     row.push_back(base.oc.label());
                     continue;
                 }
-                if (!opt.oc.succeeded() && !opt.skipped) {
+                if (!opt.oc.succeeded() && opt.oc.st != status::skipped) {
                     row.push_back(opt.oc.label());
                     continue;
                 }
-                if (!base.ms || !opt.ms) {
+                if (!base.value || !opt.value) {
                     row.push_back("n/a");
                     continue;
                 }
-                const double s = *base.ms / *opt.ms;
+                const double s = *base.value / *opt.value;
                 db.add_result("speedup_size" + std::to_string(size), e.label,
                               "x", s);
                 row.push_back(Table::num(s, 1));
@@ -92,7 +81,6 @@ int main(int argc, char** argv) {
               << "   (paper: 10.7 / 20.7 / 35.6)\n";
     altis::print_outcomes(db, std::cout);
     if (const int rc = trace_harness.finish(); rc != 0) return rc;
-    if (altis::resilience::interrupted())
-        return 128 + altis::resilience::interrupt_signal();
+    if (resilience::interrupted()) return 128 + resilience::interrupt_signal();
     return db.all_outcomes_ok() ? 0 : 1;
 }

@@ -22,13 +22,9 @@ int main(int argc, char** argv) {
     using altis::Variant;
     namespace bench = altis::bench;
     namespace perf = altis::perf;
-    namespace fault = altis::fault;
-
-    const auto& policy = trace_harness.flags().fault.policy;
-    const bool fail_fast = trace_harness.flags().fault.fail_fast;
-    const bool log_all = trace_harness.flags().fault.enabled() ||
-                         trace_harness.flags().resilience.enabled();
-    altis::resilience::supervisor& sup = trace_harness.supervisor();
+    namespace resilience = altis::resilience;
+    using status = resilience::outcome::status;
+    resilience::supervisor& sup = trace_harness.supervisor();
 
     std::cout << "Figure 5: Relative speedup over the Xeon CPU\n";
 
@@ -41,46 +37,37 @@ int main(int argc, char** argv) {
             for (const auto& e : bench::suite()) {
                 if (!e.in_fig45) continue;
                 const auto cpu = bench::run_config(e, Variant::sycl_opt,
-                                                   "xeon_6128", size, policy,
-                                                   fail_fast, sup);
-                bench::record_config_outcome(
-                    geo,
-                    bench::config_label(e, Variant::sycl_opt, "xeon_6128", size),
-                    cpu, log_all);
+                                                   "xeon_6128", size, sup);
+                sup.record(geo, cpu);
                 std::vector<std::string> row{e.label};
                 for (const auto& dev_name : bench::fig5_devices()) {
                     const Variant v = perf::device_by_name(dev_name).is_fpga()
                                           ? Variant::fpga_opt
                                           : Variant::sycl_opt;
-                    const auto co = bench::run_config(e, v, dev_name, size,
-                                                      policy, fail_fast, sup);
-                    bench::record_config_outcome(
-                        geo, bench::config_label(e, v, dev_name, size), co,
-                        log_all);
+                    const auto co =
+                        bench::run_config(e, v, dev_name, size, sup);
+                    sup.record(geo, co);
                     const std::string series = "speedup_" + dev_name +
                                                "_size" + std::to_string(size);
-                    const bool failed =
-                        co.oc.st == fault::outcome::status::failed ||
-                        cpu.oc.st == fault::outcome::status::failed;
-                    const bool degraded =
-                        (!co.oc.succeeded() && !co.skipped) ||
-                        (!cpu.oc.succeeded() && !cpu.skipped);
-                    if (failed) {
+                    auto degraded = [](const resilience::outcome& oc) {
+                        return !oc.succeeded() && oc.st != status::skipped;
+                    };
+                    if (co.oc.st == status::failed ||
+                        cpu.oc.st == status::failed) {
                         row.push_back("FAILED");
                         geo.add_failure(series, e.label, "x");
-                    } else if (degraded) {
-                        // Supervisor-only terminal states: name the status
-                        // (deadline/cancelled/quarantined) instead of
-                        // conflating it with the paper's known crashes.
-                        row.push_back((!co.oc.succeeded() && !co.skipped)
-                                          ? co.oc.label()
-                                          : cpu.oc.label());
+                    } else if (degraded(co.oc) || degraded(cpu.oc)) {
+                        // Deadline, cancelled or quarantined: name the status
+                        // instead of conflating it with the paper's known
+                        // crashes.
+                        row.push_back(degraded(co.oc) ? co.oc.label()
+                                                      : cpu.oc.label());
                         geo.add_failure(series, e.label, "x");
-                    } else if (!co.ms || !cpu.ms) {
+                    } else if (!co.value || !cpu.value) {
                         row.push_back("crash");
                         geo.add_failure(series, e.label, "x");
                     } else {
-                        const double s = *cpu.ms / *co.ms;
+                        const double s = *cpu.value / *co.value;
                         row.push_back(Table::num(s, 2));
                         geo.add_result(series, e.label, "x", s);
                     }
@@ -126,7 +113,6 @@ int main(int argc, char** argv) {
     g.print(std::cout);
     altis::print_outcomes(geo, std::cout);
     if (const int rc = trace_harness.finish(); rc != 0) return rc;
-    if (altis::resilience::interrupted())
-        return 128 + altis::resilience::interrupt_signal();
+    if (resilience::interrupted()) return 128 + resilience::interrupt_signal();
     return geo.all_outcomes_ok() ? 0 : 1;
 }

@@ -18,7 +18,6 @@
 #include "core/option_parser.hpp"
 #include "core/registry.hpp"
 #include "core/result_database.hpp"
-#include "fault/inject.hpp"
 #include "resilience/cancel.hpp"
 #include "trace/harness.hpp"
 
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
     opts.add_flag("json", "dump results as JSON");
     opts.add_flag("list", "list registered applications and exit");
     if (int rc = h.parse(argc, argv); rc >= 0) return rc;
-    const fault::options& fopts = h.flags().fault;
     resilience::supervisor& sup = h.supervisor();
     trace::session& tsession = h.trace_session();
 
@@ -95,9 +93,6 @@ int main(int argc, char** argv) {
         for (const auto& app : registry.apps()) targets.push_back(app.name);
     }
 
-    // Outcomes are recorded only when they carry information (injection
-    // active, or an app actually failed/retried); a clean un-injected run
-    // keeps the historical report byte-for-byte.
     ResultDatabase db;
     int failures = 0;
     bool interrupted = false;
@@ -108,121 +103,84 @@ int main(int argc, char** argv) {
                       << "' (try --list)\n";
             return 2;
         }
-        const std::string label = name + "/" + to_string(cfg.variant) + "/" +
-                                  cfg.device + "/size" +
-                                  std::to_string(cfg.size);
+        const std::string label =
+            apps::config_label(name, cfg.variant, cfg.device, cfg.size);
         const bool supported =
             std::find(app->variants.begin(), app->variants.end(),
                       cfg.variant) != app->variants.end() &&
             apps::variant_allowed(cfg.variant,
                                   perf::device_by_name(cfg.device));
         if (!supported) {
-            // Deterministic skip: recomputed identically on resume, so it
-            // bypasses journal and breaker entirely.
             std::cout << name << ": skipped (variant/device unsupported)\n";
-            if (fopts.enabled()) {
-                fault::outcome oc;
-                oc.st = fault::outcome::status::skipped;
-                oc.error = "variant/device unsupported";
-                fault::record_outcome(db, label, oc);
-            }
+            sup.record(db, sup.skipped(label, "variant/device unsupported"));
             continue;
         }
         // Each attempt runs into its own database so a failed partial pass
         // never leaks half a trial's metrics into the report; only the
-        // successful attempt is merged. Everything the config prints is also
-        // captured into the journal entry so a resumed run replays the exact
-        // same stdout.
-        ResultDatabase attempt_db;
-        fault::outcome oc;
-        std::string log;
-        auto emit = [&](const std::string& text) {
+        // successful attempt's series reach the entry. Everything the config
+        // prints also goes into the entry's log, so a resumed run replays the
+        // exact same stdout.
+        auto emit = [](resilience::journal_entry& e, const std::string& text) {
             std::cout << text;
-            log += text;
+            e.log += text;
         };
-        auto run_body = [&]() {
-            tsession.begin_region(label, tsession.last_end_ns());
-            try {
-                oc = fault::run_guarded(
-                    [&] {
-                        attempt_db.clear();
-                        app->run(cfg, attempt_db);
-                    },
-                    fopts.policy, fopts.fail_fast,
-                    [&](int attempt, const std::string& error,
-                        double backoff_ms) {
-                        std::ostringstream os;
-                        os << name << ": attempt " << attempt << " failed ("
-                           << error << "), retrying after " << backoff_ms
-                           << " ms\n";
-                        emit(os.str());
-                    });
-            } catch (...) {
-                tsession.end_region(tsession.last_end_ns());
-                throw;
-            }
-            tsession.end_region(tsession.last_end_ns());
-            if (oc.succeeded()) {
-                std::ostringstream os;
-                os << name << ": ok (" << cfg.passes << " passes, verified";
-                if (oc.retried())
-                    os << ", " << oc.attempts << " attempts, " << oc.backoff_ms
-                       << " ms backoff";
-                os << ")\n";
-                emit(os.str());
+        auto attempt = [&](resilience::journal_entry& e) {
+            if (e.oc.attempts == 1) {
+                tsession.begin_region(label, tsession.last_end_ns());
             } else {
                 std::ostringstream os;
-                os << name << ": "
-                   << (oc.st == fault::outcome::status::failed ? "FAILED"
-                                                               : oc.label())
-                   << " -- " << oc.error << "\n";
-                emit(os.str());
+                os << name << ": attempt " << e.oc.attempts - 1 << " failed ("
+                   << e.oc.error << "), retrying after "
+                   << sup.opts().retry.backoff_ms(e.oc.attempts - 2)
+                   << " ms\n";
+                emit(e, os.str());
             }
+            ResultDatabase attempt_db;
+            app->run(cfg, attempt_db);
+            e.results = capture_series(attempt_db);
         };
-        try {
-            const std::string bkey =
-                name + "/" + to_string(cfg.variant) + "/" + cfg.device;
-            const auto res = sup.run(label, bkey, [&] {
-                run_body();
-                resilience::journal_entry entry;
-                entry.config = label;
-                entry.status = oc.label();
-                entry.attempts = oc.attempts;
-                entry.backoff_ms = oc.backoff_ms;
-                entry.error = oc.error;
-                entry.log = log;
-                if (oc.succeeded()) entry.results = capture_series(attempt_db);
-                return entry;
-            });
-            if (res.replayed || res.entry.status == "quarantined") {
-                oc.st = fault::status_from_label(res.entry.status);
-                oc.attempts = res.entry.attempts;
-                oc.backoff_ms = res.entry.backoff_ms;
-                oc.error = res.entry.error;
-                attempt_db.clear();
-                restore_series(res.entry.results, attempt_db);
-                // Replays print their captured stdout verbatim; quarantined
-                // entries never ran, so their one line is composed the same
-                // way live and on replay.
-                if (res.entry.status == "quarantined")
-                    std::cout << name << ": quarantined -- " << res.entry.error
-                              << "\n";
-                else
-                    std::cout << res.entry.log;
+        auto settle = [&](resilience::journal_entry& e) {
+            tsession.end_region(tsession.last_end_ns());
+            std::ostringstream os;
+            os << name << ": ";
+            if (e.oc.succeeded()) {
+                os << "ok (" << cfg.passes << " passes, verified";
+                if (e.oc.retried())
+                    os << ", " << e.oc.attempts << " attempts, "
+                       << e.oc.backoff_ms << " ms backoff";
+                os << ")";
+            } else {
+                os << (e.oc.st == resilience::outcome::status::failed
+                           ? "FAILED"
+                           : e.oc.label())
+                   << " -- " << e.oc.error;
             }
+            os << "\n";
+            emit(e, os.str());
+        };
+        resilience::supervisor::result res;
+        try {
+            res = sup.run(label,
+                          apps::breaker_key(name, cfg.variant, cfg.device),
+                          attempt, settle);
         } catch (const std::exception& e) {
             std::cerr << name << ": FAILED -- " << e.what()
                       << "\naborting (--fail-fast)\n";
             return 1;
         }
-
-        if (oc.succeeded())
-            db.merge(attempt_db);
+        // Replays print their captured stdout verbatim; quarantined entries
+        // never ran, so their one line is composed the same way live and on
+        // replay.
+        const resilience::journal_entry& entry = res.entry;
+        if (entry.oc.st == resilience::outcome::status::quarantined)
+            std::cout << name << ": quarantined -- " << entry.oc.error << "\n";
+        else if (res.replayed)
+            std::cout << entry.log;
+        if (entry.oc.succeeded())
+            restore_series(entry.results, db);
         else
             ++failures;
-        if (fopts.enabled() || h.flags().resilience.enabled() ||
-            !oc.succeeded() || oc.retried())
-            fault::record_outcome(db, label, oc);
+        sup.record(db, entry);
         if (resilience::interrupted()) {
             interrupted = true;
             break;

@@ -28,6 +28,16 @@ void register_standard_app(std::string name, std::string description,
     Registry::instance().add(std::move(info));
 }
 
+std::string breaker_key(const std::string& app, Variant v,
+                        const std::string& device) {
+    return app + "/" + to_string(v) + "/" + device;
+}
+
+std::string config_label(const std::string& app, Variant v,
+                         const std::string& device, int size) {
+    return breaker_key(app, v, device) + "/size" + std::to_string(size);
+}
+
 RunConfig read_run_config(const OptionParser& opts) {
     RunConfig cfg;
     cfg.size = static_cast<int>(opts.get_int("size"));

@@ -59,6 +59,17 @@ void register_all_apps();
 /// device or variant.
 [[nodiscard]] RunConfig read_run_config(const OptionParser& opts);
 
+/// Circuit-breaker key of a sweep configuration, "<app>/<variant>/<device>"
+/// (e.g. "KMeans/fpga_opt/stratix_10"): repeated hard failures of one
+/// app/variant/device open the circuit for its remaining encounters.
+[[nodiscard]] std::string breaker_key(const std::string& app, Variant v,
+                                      const std::string& device);
+
+/// Label of one sweep configuration: its breaker key plus "/size<N>", e.g.
+/// "KMeans/fpga_opt/stratix_10/size2". Journals and outcome logs use it.
+[[nodiscard]] std::string config_label(const std::string& app, Variant v,
+                                       const std::string& device, int size);
+
 /// Opt-in for the out-of-order graph scheduler in apps that were ported to
 /// explicit event dependencies (fdtd2d, cfd): ALTIS_OOO=1 in the
 /// environment. Off by default so golden figure outputs -- produced through

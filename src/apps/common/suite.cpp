@@ -321,157 +321,33 @@ std::optional<double> total_ms(const SuiteEntry& e, Variant v,
     return t.total_ms();
 }
 
-std::string config_label(const SuiteEntry& e, Variant v,
-                         const std::string& device, int size) {
-    return e.label + "/" + to_string(v) + "/" + device + "/size" +
-           std::to_string(size);
-}
-
-ConfigOutcome run_config(const SuiteEntry& e, Variant v,
-                         const std::string& device, int size,
-                         const fault::retry_policy& policy, bool fail_fast) {
-    ConfigOutcome co;
-    auto skip = [&co](std::string reason) {
-        co.skipped = true;
-        co.skip_reason = reason;
-        co.oc.st = fault::outcome::status::skipped;
-        co.oc.error = std::move(reason);
-        return co;
-    };
-
+resilience::journal_entry run_config(const SuiteEntry& e, Variant v,
+                                     const std::string& device, int size,
+                                     resilience::supervisor& sup) {
+    const std::string label = apps::config_label(e.label, v, device, size);
     const perf::device_spec& dev = perf::device_by_name(device);
     if (!apps::variant_allowed(v, dev))
-        return skip(std::string(to_string(v)) + " cannot target " + device);
+        return sup.skipped(
+            label, std::string(to_string(v)) + " cannot target " + device);
     if (e.crashes && e.crashes(dev, v, size))
-        return skip("known crash on this configuration (paper Sec. 5.4)");
-    // Build the region outside the guard: an invalid_argument here means the
-    // configuration does not exist (DWT2D fpga_opt), not that it failed.
+        return sup.skipped(
+            label, "known crash on this configuration (paper Sec. 5.4)");
+    // An invalid_argument here means the configuration does not exist
+    // (DWT2D fpga_opt), not that it failed.
     apps::timed_region region;
     try {
         region = e.region(v, dev, size);
     } catch (const std::invalid_argument& ex) {
-        return skip(ex.what());
+        return sup.skipped(label, ex.what());
     }
-
-    const std::string label = config_label(e, v, device, size);
-    auto on_retry = [&label](int attempt, const std::string& error,
-                             double backoff_ms) {
-        trace::session* s = trace::session::current();
-        if (s == nullptr) return;
-        const double cursor = s->last_end_ns();
-        trace::span sp{trace::span_kind::overhead,
-                       "retry " + std::to_string(attempt) + ": " + label +
-                           " (backoff " + std::to_string(backoff_ms) +
-                           " ms): " + error,
-                       cursor, cursor};
-        sp.status = trace::span_status::retried;
-        s->record(std::move(sp));
-    };
-
-    co.oc = fault::run_guarded(
-        [&] {
-            const auto t =
-                apps::simulate_region(region, dev, apps::runtime_for(v));
-            co.ms = t.total_ms();
-        },
-        policy, fail_fast, on_retry);
-    if (!co.oc.succeeded()) co.ms.reset();
-    return co;
-}
-
-std::string breaker_key(const SuiteEntry& e, Variant v,
-                        const std::string& device) {
-    return e.label + "/" + to_string(v) + "/" + device;
-}
-
-resilience::journal_entry outcome_to_entry(const std::string& label,
-                                           const ConfigOutcome& co) {
-    resilience::journal_entry entry;
-    entry.config = label;
-    entry.status = co.oc.label();
-    entry.attempts = co.oc.attempts;
-    entry.backoff_ms = co.oc.backoff_ms;
-    entry.error = co.oc.error;
-    entry.value = co.ms;
-    return entry;
-}
-
-ConfigOutcome entry_to_outcome(const resilience::journal_entry& entry) {
-    ConfigOutcome co;
-    co.ms = entry.value;
-    co.oc.st = fault::status_from_label(entry.status);
-    co.oc.attempts = entry.attempts;
-    co.oc.backoff_ms = entry.backoff_ms;
-    co.oc.error = entry.error;
-    if (entry.status == "skipped") {
-        co.skipped = true;
-        co.skip_reason = entry.error;
-    }
-    return co;
-}
-
-void emit_degraded_span(const std::string& label, const fault::outcome& oc) {
-    trace::session* s = trace::session::current();
-    if (s == nullptr) return;
-    trace::span_status st;
-    switch (oc.st) {
-        case fault::outcome::status::deadline:
-        case fault::outcome::status::cancelled:
-            st = trace::span_status::cancelled;
-            break;
-        case fault::outcome::status::quarantined:
-            st = trace::span_status::quarantined;
-            break;
-        default:
-            return;
-    }
-    const double cursor = s->last_end_ns();
-    trace::span sp{trace::span_kind::overhead,
-                   std::string(oc.label()) + ": " + label +
-                       (oc.error.empty() ? "" : ": " + oc.error),
-                   cursor, cursor};
-    sp.status = st;
-    s->record(std::move(sp));
-}
-
-ConfigOutcome run_config(const SuiteEntry& e, Variant v,
-                         const std::string& device, int size,
-                         const fault::retry_policy& policy, bool fail_fast,
-                         resilience::supervisor& sup) {
-    const std::string label = config_label(e, v, device, size);
-    // Probe the deterministic skip checks first (cheap: region construction
-    // only happens in the plain overload's body below); a nonexistent
-    // configuration must not consume breaker or journal state.
-    {
-        const perf::device_spec& dev = perf::device_by_name(device);
-        const bool exists = apps::variant_allowed(v, dev) &&
-                            !(e.crashes && e.crashes(dev, v, size)) && [&] {
-                                try {
-                                    (void)e.region(v, dev, size);
-                                    return true;
-                                } catch (const std::invalid_argument&) {
-                                    return false;
-                                }
-                            }();
-        if (!exists) return run_config(e, v, device, size, policy, fail_fast);
-    }
-    ConfigOutcome co;
-    const auto res = sup.run(label, breaker_key(e, v, device), [&] {
-        co = run_config(e, v, device, size, policy, fail_fast);
-        return outcome_to_entry(label, co);
-    });
-    if (res.replayed || res.entry.status == "quarantined")
-        co = entry_to_outcome(res.entry);
-    if (!res.replayed) emit_degraded_span(label, co.oc);
-    return co;
-}
-
-void record_config_outcome(ResultDatabase& db, const std::string& label,
-                           const ConfigOutcome& co, bool injection_enabled) {
-    if (!injection_enabled && (co.oc.succeeded() || co.skipped) &&
-        !co.oc.retried())
-        return;
-    fault::record_outcome(db, label, co.oc);
+    return sup
+        .run(label, apps::breaker_key(e.label, v, device),
+             [&](resilience::journal_entry& out) {
+                 out.value =
+                     apps::simulate_region(region, dev, apps::runtime_for(v))
+                         .total_ms();
+             })
+        .entry;
 }
 
 }  // namespace altis::bench

@@ -12,9 +12,7 @@
 
 #include "apps/common/region.hpp"
 #include "core/registry.hpp"
-#include "fault/retry.hpp"
 #include "perf/device.hpp"
-#include "resilience/journal.hpp"
 #include "resilience/supervisor.hpp"
 
 namespace altis::bench {
@@ -62,70 +60,16 @@ struct SuiteEntry {
                                              const std::string& device,
                                              int size);
 
-/// Canonical configuration label used everywhere a sweep names one cell:
-/// "<label>/<variant>/<device>/size<N>", e.g. "KMeans/fpga_opt/stratix_10/size2".
-[[nodiscard]] std::string config_label(const SuiteEntry& e, Variant v,
-                                       const std::string& device, int size);
-
-/// Result of one resilient configuration run (see run_config).
-struct ConfigOutcome {
-    /// Simulated total, present only when some attempt succeeded.
-    std::optional<double> ms;
-    /// Retry bookkeeping: status/attempts/backoff/error.
-    fault::outcome oc;
-    /// True when the configuration does not exist (variant/device mismatch,
-    /// known crash, unimplemented variant) rather than having failed.
-    bool skipped = false;
-    std::string skip_reason;
-};
-
-/// Resilient replacement for total_ms: simulates the configuration under the
-/// active fault plan, retrying retryable injected faults per `policy`.
-/// Nonexistent configurations come back skipped; failures come back with the
-/// error string instead of throwing (unless `fail_fast`). Retries emit a
-/// `retried` span into the current trace session so timelines show where the
-/// sweep degraded.
-[[nodiscard]] ConfigOutcome run_config(const SuiteEntry& e, Variant v,
-                                       const std::string& device, int size,
-                                       const fault::retry_policy& policy = {},
-                                       bool fail_fast = false);
-
-/// Supervised variant: routes the configuration through the resilience
-/// supervisor (journal replay -> breaker admission -> deadline scope ->
-/// fsync'd journaling). Nonexistent configurations are skipped before the
-/// supervisor -- the checks are deterministic, so resume recomputes them
-/// identically and the journal stays free of noise. Degraded terminal
-/// states (deadline, cancelled, quarantined) emit a matching zero-length
-/// span into the current trace session.
-[[nodiscard]] ConfigOutcome run_config(const SuiteEntry& e, Variant v,
-                                       const std::string& device, int size,
-                                       const fault::retry_policy& policy,
-                                       bool fail_fast,
-                                       resilience::supervisor& sup);
-
-/// Breaker quarantine key of a configuration: the config label without the
-/// size component, so repeated hard failures of one app/variant/device pair
-/// open the circuit for its remaining sizes.
-[[nodiscard]] std::string breaker_key(const SuiteEntry& e, Variant v,
-                                      const std::string& device);
-
-/// Journal conversion for the fig sweeps (altis_run captures log/results on
-/// top of these).
-[[nodiscard]] resilience::journal_entry outcome_to_entry(
-    const std::string& label, const ConfigOutcome& co);
-[[nodiscard]] ConfigOutcome entry_to_outcome(
-    const resilience::journal_entry& entry);
-
-/// Records a zero-length cancelled/quarantined span at the end of the
-/// current trace session (no-op without one, or for healthy statuses).
-void emit_degraded_span(const std::string& label, const fault::outcome& oc);
-
-/// Records the outcome under `label` when it carries information: injection
-/// is active, or the configuration failed or needed retries. Expected skips
-/// of nonexistent configurations (the legacy "n/a"/"crash" cells) are only
-/// logged while a fault plan is active, so fault-free reports keep their
-/// historical shape.
-void record_config_outcome(ResultDatabase& db, const std::string& label,
-                           const ConfigOutcome& co, bool injection_enabled);
+/// Simulates one configuration through the sweep supervisor (journal
+/// replay, breaker, deadline scope, retries; see resilience::supervisor)
+/// and returns its entry, whose `value` is the simulated total in ms.
+/// Nonexistent configurations (variant/device mismatch, known crash,
+/// unimplemented variant) come back skipped without touching journal or
+/// breaker.
+[[nodiscard]] resilience::journal_entry run_config(const SuiteEntry& e,
+                                                   Variant v,
+                                                   const std::string& device,
+                                                   int size,
+                                                   resilience::supervisor& sup);
 
 }  // namespace altis::bench

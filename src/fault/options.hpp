@@ -1,18 +1,15 @@
-// Fault-injection and retry settings of a harness run, filled from the
-// shared flag table (--inject/$ALTIS_FAULT, --fail-fast, --retries,
-// --retry-backoff-ms; see trace/harness.hpp and README "Command-line flags").
+// Fault-injection settings of a harness run, filled from the shared flag
+// table (--inject/$ALTIS_FAULT; see trace/harness.hpp and README
+// "Command-line flags"). Retrying what the plan injects is the sweep
+// supervisor's job (resilience/options.hpp).
 #pragma once
 
 #include <string>
-
-#include "fault/retry.hpp"
 
 namespace altis::fault {
 
 struct options {
     std::string spec;  ///< empty: no injection (grammar: fault/spec.hpp)
-    bool fail_fast = false;
-    retry_policy policy;
 
     [[nodiscard]] bool enabled() const { return !spec.empty(); }
 };

@@ -213,6 +213,43 @@ void plan::reset() {
     }
 }
 
+std::string plan::state() const {
+    std::scoped_lock lock(mutex_);
+    std::string out;
+    for (const rule_state& st : states_) {
+        const rng::xorwow::state& x = st.stream.current_state();
+        if (!out.empty()) out += ';';
+        out += std::to_string(st.matches);
+        for (const std::uint32_t w : {x.x, x.y, x.z, x.w, x.v, x.d})
+            out += ',' + std::to_string(w);
+    }
+    return out;
+}
+
+void plan::restore(const std::string& state) {
+    std::vector<rule_state> parsed;
+    const char* p = state.data();
+    const char* const end = p + state.size();
+    while (p < end) {
+        std::uint64_t v[7] = {};
+        for (int i = 0; i < 7; ++i) {
+            if (i > 0 && (p == end || *p++ != ',')) return;
+            const auto [next, ec] = std::from_chars(p, end, v[i]);
+            if (ec != std::errc{} || (i > 0 && v[i] > UINT32_MAX)) return;
+            p = next;
+        }
+        if (p != end && *p++ != ';') return;
+        rule_state st;
+        st.matches = v[0];
+        auto w = [&v](int i) { return static_cast<std::uint32_t>(v[i]); };
+        st.stream = rng::xorwow(
+            rng::xorwow::state{w(1), w(2), w(3), w(4), w(5), w(6)});
+        parsed.push_back(st);
+    }
+    std::scoped_lock lock(mutex_);
+    if (parsed.size() == rules_.size()) states_ = std::move(parsed);
+}
+
 std::optional<hit> plan::check(op_kind kind, std::string_view name) {
     if (rules_.empty()) return std::nullopt;
     std::scoped_lock lock(mutex_);

@@ -91,6 +91,14 @@ public:
     /// Rewinds all counters and probabilistic streams to the parsed state.
     void reset();
 
+    /// The per-rule firing state (match counters and xorwow streams) as
+    /// text, for the sweep journal: a resumed sweep restores it where the
+    /// original run stood, so later operations fire identically.
+    [[nodiscard]] std::string state() const;
+    /// Inverse of state(). A state that does not fit this plan's rules (a
+    /// journal written under another spec) is ignored.
+    void restore(const std::string& state);
+
 private:
     struct rule_state {
         std::uint64_t matches = 0;
@@ -100,7 +108,7 @@ private:
     std::vector<rule> rules_;
     std::uint64_t seed_ = 0;
     std::vector<rule_state> states_;
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
 };
 
 /// Glob match with '*' wildcards (no character classes); empty pattern

@@ -334,7 +334,7 @@ inline counter& sanitize_race_checks() {
 inline counter& fault_retries() {
     static counter& c = registry::instance().get_counter(
         "altis_fault_retries_total",
-        "Retries performed by fault::run_guarded after retryable faults");
+        "Retries performed by the sweep supervisor after retryable faults");
     return c;
 }
 
@@ -348,7 +348,7 @@ inline counter& fault_backoff_ns() {
 inline counter& fault_failures() {
     static counter& c = registry::instance().get_counter(
         "altis_fault_failures_total",
-        "run_guarded outcomes that exhausted retries or hit non-retryable "
+        "Configurations that exhausted retries or hit non-retryable "
         "errors");
     return c;
 }

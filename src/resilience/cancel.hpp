@@ -33,8 +33,9 @@ enum class cancel_reason : std::uint32_t {
 [[nodiscard]] const char* to_string(cancel_reason r);
 
 /// Raised from a checkpoint once the token is cancelled. Distinct from
-/// fault::injected_fault on purpose: fault::run_guarded classifies it as a
-/// non-retryable `deadline`/`cancelled` outcome instead of burning retries.
+/// fault::injected_fault on purpose: the supervisor's retry loop classifies
+/// it as a non-retryable `deadline`/`cancelled` outcome instead of burning
+/// retries.
 class cancelled_error : public std::runtime_error {
 public:
     cancelled_error(cancel_reason r, const std::string& msg)

@@ -199,6 +199,18 @@ std::vector<double> parse_number_array(cursor& c) {
     return out;
 }
 
+/// Inverse of outcome::label() ("retried" is ok with attempts > 1, which
+/// the entry carries separately). Unknown labels read as failed.
+outcome::status status_from_label(const std::string& label) {
+    using st = outcome::status;
+    if (label == "ok" || label == "retried") return st::ok;
+    if (label == "skipped") return st::skipped;
+    if (label == "deadline") return st::deadline;
+    if (label == "cancelled") return st::cancelled;
+    if (label == "quarantined") return st::quarantined;
+    return st::failed;
+}
+
 journal_series parse_series(cursor& c) {
     journal_series s;
     if (!c.consume('{')) return s;
@@ -221,17 +233,29 @@ journal_series parse_series(cursor& c) {
 
 }  // namespace
 
+const char* outcome::label() const {
+    switch (st) {
+        case status::ok: return attempts > 1 ? "retried" : "ok";
+        case status::failed: return "failed";
+        case status::skipped: return "skipped";
+        case status::deadline: return "deadline";
+        case status::cancelled: return "cancelled";
+        case status::quarantined: return "quarantined";
+    }
+    return "?";
+}
+
 std::string to_line(const journal_entry& e) {
     std::string out = "{\"config\":";
     append_escaped(out, e.config);
     out += ",\"status\":";
-    append_escaped(out, e.status);
-    out += ",\"attempts\":" + std::to_string(e.attempts);
+    append_escaped(out, e.oc.label());
+    out += ",\"attempts\":" + std::to_string(e.oc.attempts);
     out += ",\"backoff_ms\":";
-    append_double(out, e.backoff_ms);
-    if (!e.error.empty()) {
+    append_double(out, e.oc.backoff_ms);
+    if (!e.oc.error.empty()) {
         out += ",\"error\":";
-        append_escaped(out, e.error);
+        append_escaped(out, e.oc.error);
     }
     if (e.value) {
         out += ",\"value\":";
@@ -261,6 +285,10 @@ std::string to_line(const journal_entry& e) {
         }
         out += ']';
     }
+    if (!e.plan.empty()) {
+        out += ",\"plan\":";
+        append_escaped(out, e.plan);
+    }
     out += '}';
     return out;
 }
@@ -278,17 +306,19 @@ std::optional<journal_entry> parse_line(const std::string& line) {
                 e.config = c.parse_string();
                 saw_config = true;
             } else if (key == "status") {
-                e.status = c.parse_string();
+                e.oc.st = status_from_label(c.parse_string());
             } else if (key == "attempts") {
-                e.attempts = static_cast<int>(c.parse_number());
+                e.oc.attempts = static_cast<int>(c.parse_number());
             } else if (key == "backoff_ms") {
-                e.backoff_ms = c.parse_number();
+                e.oc.backoff_ms = c.parse_number();
             } else if (key == "error") {
-                e.error = c.parse_string();
+                e.oc.error = c.parse_string();
             } else if (key == "value") {
                 e.value = c.parse_number();
             } else if (key == "log") {
                 e.log = c.parse_string();
+            } else if (key == "plan") {
+                e.plan = c.parse_string();
             } else if (key == "results") {
                 if (!c.consume('[')) break;
                 if (c.peek(']')) {

@@ -7,9 +7,10 @@
 //
 // Resume contract (--resume <journal>): completed configurations are
 // replayed verbatim -- same status, attempts, backoff, value and captured
-// log text -- so a resumed sweep's final report is byte-identical to an
-// uninterrupted one. Doubles round-trip exactly (std::to_chars shortest
-// form), which is what makes byte-identity possible at all.
+// log text, and under a fault plan the plan's firing state -- so a resumed
+// sweep's final report is byte-identical to an uninterrupted one. Doubles
+// round-trip exactly (std::to_chars shortest form), which is what makes
+// byte-identity possible at all.
 #pragma once
 
 #include <cstdio>
@@ -18,6 +19,38 @@
 #include <vector>
 
 namespace altis::resilience {
+
+/// How one configuration ended: the retry loop's verdict, recorded into
+/// ResultDatabase outcomes and the journal.
+struct outcome {
+    enum class status {
+        ok,
+        failed,
+        skipped,
+        /// Cancelled because the configuration overran its --deadline-ms
+        /// budget; non-retryable (the token stays cancelled for the rest
+        /// of the configuration's scope, so another attempt cannot help).
+        deadline,
+        /// Cancelled from outside the configuration (SIGINT/SIGTERM or a
+        /// manual cancel); the sweep is being torn down.
+        cancelled,
+        /// Skipped by an open circuit breaker instead of re-burning the
+        /// retry budget.
+        quarantined,
+    };
+
+    status st = status::ok;
+    int attempts = 1;
+    double backoff_ms = 0.0;  ///< total backoff accounted across retries
+    std::string error;        ///< what() of the last failure; empty when ok
+
+    [[nodiscard]] bool succeeded() const { return st == status::ok; }
+    [[nodiscard]] bool retried() const { return succeeded() && attempts > 1; }
+    /// "ok" | "retried" | "failed" | "skipped" | "deadline" | "cancelled" |
+    /// "quarantined" -- the status string of ResultDatabase outcomes and of
+    /// the journal's "status" field.
+    [[nodiscard]] const char* label() const;
+};
 
 /// One metric series captured from a configuration's ResultDatabase (used
 /// by altis_run, whose report aggregates per-trial values; the fig sweeps
@@ -29,15 +62,11 @@ struct journal_series {
     std::vector<double> values;
 };
 
-/// One completed configuration. `status` uses the fault::outcome labels
-/// ("ok", "retried", "failed", "skipped") plus the supervisor's
-/// "deadline" and "quarantined".
+/// One configuration: how it ended plus everything its report needs, so a
+/// replay reproduces it without running it.
 struct journal_entry {
     std::string config;
-    std::string status = "ok";
-    int attempts = 1;
-    double backoff_ms = 0.0;
-    std::string error;
+    outcome oc;
     /// The configuration's scalar result (simulated ms or a speedup),
     /// absent for failed/quarantined entries.
     std::optional<double> value;
@@ -45,6 +74,10 @@ struct journal_entry {
     /// lines), replayed verbatim on resume.
     std::string log;
     std::vector<journal_series> results;
+    /// The active fault plan's firing state after this configuration
+    /// (fault::plan::state()); empty without a plan. Replay restores it, so
+    /// the configurations after a resume point see the same injections.
+    std::string plan;
 };
 
 /// Serialize one entry as a single JSON line (no trailing newline).

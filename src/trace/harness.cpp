@@ -27,16 +27,16 @@ const std::vector<flag_row>& flag_table() {
                        .help = "fault-injection spec, e.g. "
                                "'alloc@2;pipe:map*@1;seed=7' "
                                "(default: $ALTIS_FAULT)"}},
-        {fault_flags, {.name = "fail-fast", .def = "0", .kind = flag,
-                       .help = "abort the sweep on the first unrecoverable "
-                               "failure"}},
-        {fault_flags, {.name = "retries", .def = "3", .kind = integer,
-                       .min = 1, .max = 1e6,
-                       .help = "max attempts per configuration"}},
-        {fault_flags, {.name = "retry-backoff-ms", .def = "25", .kind = number,
-                       .min = 0, .max = 1e9,
-                       .help = "base backoff before the first retry (doubles "
-                               "per retry)"}},
+        {resilience_flags, {.name = "fail-fast", .def = "0", .kind = flag,
+                            .help = "abort the sweep on the first "
+                                    "unrecoverable failure"}},
+        {resilience_flags, {.name = "retries", .def = "3", .kind = integer,
+                            .min = 1, .max = 1e6,
+                            .help = "max attempts per configuration"}},
+        {resilience_flags, {.name = "retry-backoff-ms", .def = "25",
+                            .kind = number, .min = 0, .max = 1e9,
+                            .help = "base backoff before the first retry "
+                                    "(doubles per retry)"}},
         {sanitize_flags, {.name = "sanitize", .def = "", .env = "ALTIS_SANITIZE",
                           .choices = "off|warn|error",
                           .help = "lint the run's command graph: off | warn | "
@@ -96,12 +96,7 @@ harness_options read_harness_flags(const OptionParser& p, unsigned sections) {
         o.trace.trace_path = p.get_string("trace");
         o.trace.profile = p.get_flag("profile");
     }
-    if ((sections & fault_flags) != 0U) {
-        o.fault.spec = p.get_string("inject");
-        o.fault.fail_fast = p.get_flag("fail-fast");
-        o.fault.policy.max_attempts = static_cast<int>(p.get_int("retries"));
-        o.fault.policy.backoff_base_ms = p.get_double("retry-backoff-ms");
-    }
+    if ((sections & fault_flags) != 0U) o.fault.spec = p.get_string("inject");
     if ((sections & sanitize_flags) != 0U) {
         const std::string lv = p.get_string("sanitize");
         o.sanitize.lv = lv == "error"  ? analyze::level::error
@@ -122,6 +117,10 @@ harness_options read_harness_flags(const OptionParser& p, unsigned sections) {
         o.metrics.json_path = p.get_string("metrics-json");
     }
     if ((sections & resilience_flags) != 0U) {
+        o.resilience.fail_fast = p.get_flag("fail-fast");
+        o.resilience.retry.max_attempts =
+            static_cast<int>(p.get_int("retries"));
+        o.resilience.retry.backoff_base_ms = p.get_double("retry-backoff-ms");
         if (!p.get_string("deadline-ms").empty())
             o.resilience.deadline_ms = p.get_double("deadline-ms");
         o.resilience.journal_path = p.get_string("journal");
@@ -147,7 +146,21 @@ int cli_harness::parse(int argc, char** argv) {
         return 2;
     }
     try {
-        supervisor_.emplace(flags_.resilience, session_.name());
+        // The supervisor's retry and degraded marks land on the current
+        // trace session (when there is one) as zero-length spans at the end
+        // of the timeline.
+        using mark = resilience::supervisor::mark;
+        supervisor_.emplace(
+            flags_.resilience, session_.name(), [](mark m, std::string name) {
+                session* s = session::current();
+                if (s == nullptr) return;
+                const double t = s->last_end_ns();
+                span sp{span_kind::overhead, std::move(name), t, t};
+                sp.status = m == mark::retried     ? span_status::retried
+                            : m == mark::cancelled ? span_status::cancelled
+                                                   : span_status::quarantined;
+                s->record(std::move(sp));
+            });
     } catch (const std::runtime_error& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;

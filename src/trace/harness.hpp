@@ -36,10 +36,10 @@ namespace altis::trace {
 /// Sections of the shared flag table; a binary may register a subset.
 enum flag_section : unsigned {
     trace_flags = 1U << 0U,       ///< --trace, --profile
-    fault_flags = 1U << 1U,       ///< --inject, --fail-fast, --retries, ...
+    fault_flags = 1U << 1U,       ///< --inject
     sanitize_flags = 1U << 2U,    ///< --sanitize, --sanitize-json, ...
     metrics_flags = 1U << 3U,     ///< --metrics, --metrics-prom, ...
-    resilience_flags = 1U << 4U,  ///< --deadline-ms, --journal, --resume, ...
+    resilience_flags = 1U << 4U,  ///< --retries, --deadline-ms, --journal, ...
     all_flags = (1U << 5U) - 1U,
 };
 
@@ -67,8 +67,9 @@ public:
 
     /// Parses argv (handling --help, unknown options and bad values: exit
     /// code 2) and switches on what the flags ask for, for the binary's
-    /// lifetime: the sweep supervisor (always; its circuit breaker is armed
-    /// on every sweep, and --deadline-ms/--journal/--resume add the rest --
+    /// lifetime: the sweep supervisor (always; its retry loop and circuit
+    /// breaker run on every sweep, its retry and degraded marks land on the
+    /// trace session, and --deadline-ms/--journal/--resume add the rest --
     /// validating a --resume journal against the harness name and installing
     /// SIGINT/SIGTERM cooperative cancellation), the sanitizer recorder, the
     /// compiled fault plan (a malformed spec is exit code 2), a metrics

@@ -8,8 +8,8 @@
 
 #include "apps/cfd/cfd.hpp"
 #include "fault/inject.hpp"
-#include "fault/retry.hpp"
 #include "fault/spec.hpp"
+#include "resilience/supervisor.hpp"
 #include "sycl/pipe.hpp"
 #include "sycl/thread_pool.hpp"
 
@@ -116,28 +116,29 @@ TEST_F(Cancel, InjectedPipeStallIsCancellable) {
 }
 
 TEST_F(Cancel, RunGuardedClassifiesDeadlineAsNonRetryable) {
-    deadline_scope scope(20.0);
+    options o;
+    o.deadline_ms = 20.0;
+    o.retry.max_attempts = 5;
+    supervisor sup(o, "cancel-test");
     int calls = 0;
-    fault::retry_policy policy;
-    policy.max_attempts = 5;
-    const fault::outcome oc = fault::run_guarded(
-        [&] {
-            ++calls;
-            std::this_thread::sleep_for(milliseconds(40));
-            checkpoint();
-        },
-        policy);
-    EXPECT_EQ(oc.st, fault::outcome::status::deadline);
-    EXPECT_EQ(std::string(oc.label()), "deadline");
+    const journal_entry e = sup.run("c", "k", [&](journal_entry&) {
+                                   ++calls;
+                                   std::this_thread::sleep_for(
+                                       milliseconds(40));
+                                   checkpoint();
+                               }).entry;
+    EXPECT_EQ(e.oc.st, outcome::status::deadline);
+    EXPECT_EQ(std::string(e.oc.label()), "deadline");
     EXPECT_EQ(calls, 1) << "deadline outcomes must not be retried";
 }
 
 TEST_F(Cancel, RunGuardedClassifiesManualCancel) {
     current().cancel(cancel_reason::manual);
-    const fault::outcome oc =
-        fault::run_guarded([&] { checkpoint(); }, fault::retry_policy{});
-    EXPECT_EQ(oc.st, fault::outcome::status::cancelled);
-    EXPECT_EQ(std::string(oc.label()), "cancelled");
+    supervisor sup({}, "cancel-test");
+    const journal_entry e =
+        sup.run("c", "k", [&](journal_entry&) { checkpoint(); }).entry;
+    EXPECT_EQ(e.oc.st, outcome::status::cancelled);
+    EXPECT_EQ(std::string(e.oc.label()), "cancelled");
 }
 
 TEST_F(Cancel, ThreadPoolParallelForRaisesOnSubmitterAfterDrain) {
@@ -187,18 +188,29 @@ TEST_F(Cancel, DeadlineCancelsGoldenReferenceWithinBudget) {
 }
 
 TEST_F(Cancel, StatusLabelRoundTrip) {
-    EXPECT_EQ(fault::status_from_label("ok"), fault::outcome::status::ok);
-    EXPECT_EQ(fault::status_from_label("retried"), fault::outcome::status::ok);
-    EXPECT_EQ(fault::status_from_label("skipped"),
-              fault::outcome::status::skipped);
-    EXPECT_EQ(fault::status_from_label("deadline"),
-              fault::outcome::status::deadline);
-    EXPECT_EQ(fault::status_from_label("cancelled"),
-              fault::outcome::status::cancelled);
-    EXPECT_EQ(fault::status_from_label("quarantined"),
-              fault::outcome::status::quarantined);
-    EXPECT_EQ(fault::status_from_label("nonsense"),
-              fault::outcome::status::failed);
+    // Labels and the journal's status field are one vocabulary: every
+    // status survives a journal line, "retried" being ok with attempts > 1.
+    using st = outcome::status;
+    for (const st s : {st::ok, st::skipped, st::deadline, st::cancelled,
+                       st::quarantined, st::failed}) {
+        for (const int attempts : {1, 2}) {
+            journal_entry e;
+            e.config = "c";
+            e.oc.st = s;
+            e.oc.attempts = attempts;
+            const auto back = parse_line(to_line(e));
+            ASSERT_TRUE(back.has_value());
+            EXPECT_EQ(back->oc.st, s);
+            EXPECT_STREQ(back->oc.label(), e.oc.label());
+        }
+    }
+    journal_entry ok;
+    ok.oc.attempts = 2;
+    EXPECT_STREQ(ok.oc.label(), "retried");
+    const auto nonsense =
+        parse_line(R"({"config":"c","status":"nonsense","attempts":1})");
+    ASSERT_TRUE(nonsense.has_value());
+    EXPECT_EQ(nonsense->oc.st, st::failed);
 }
 
 }  // namespace

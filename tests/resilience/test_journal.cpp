@@ -17,10 +17,8 @@ std::string tmp_path(const std::string& name) {
 journal_entry sample_entry() {
     journal_entry e;
     e.config = "KMeans/fpga_opt/stratix_10/size2";
-    e.status = "retried";
-    e.attempts = 3;
-    e.backoff_ms = 75.5;
-    e.error = "";
+    e.oc.attempts = 3;  // ok after 3 attempts: "retried"
+    e.oc.backoff_ms = 75.5;
     e.value = 12.625;
     e.log = "KMeans: attempt 1 failed (injected), retrying after 25 ms\n"
             "KMeans: ok (2 passes, verified, 3 attempts, 75.5 ms backoff)\n";
@@ -39,10 +37,11 @@ TEST(Journal, LineRoundTripIsExact) {
     const auto back = parse_line(line);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->config, e.config);
-    EXPECT_EQ(back->status, e.status);
-    EXPECT_EQ(back->attempts, e.attempts);
-    EXPECT_EQ(back->backoff_ms, e.backoff_ms);
-    EXPECT_EQ(back->error, e.error);
+    EXPECT_EQ(back->oc.st, e.oc.st);
+    EXPECT_STREQ(back->oc.label(), "retried");
+    EXPECT_EQ(back->oc.attempts, e.oc.attempts);
+    EXPECT_EQ(back->oc.backoff_ms, e.oc.backoff_ms);
+    EXPECT_EQ(back->oc.error, e.oc.error);
     ASSERT_TRUE(back->value.has_value());
     EXPECT_EQ(*back->value, *e.value);
     EXPECT_EQ(back->log, e.log);
@@ -58,14 +57,25 @@ TEST(Journal, LineRoundTripIsExact) {
 TEST(Journal, EscapesAndAbsentValueSurvive) {
     journal_entry e;
     e.config = "weird \"config\"\\with\nnewline\tand\x01control";
-    e.status = "failed";
-    e.error = "injected fault: alloc@1 on \"usm_host\"";
+    e.oc.st = outcome::status::failed;
+    e.oc.error = "injected fault: alloc@1 on \"usm_host\"";
     e.value.reset();
     const auto back = parse_line(to_line(e));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->config, e.config);
-    EXPECT_EQ(back->error, e.error);
+    EXPECT_EQ(back->oc.error, e.oc.error);
     EXPECT_FALSE(back->value.has_value());
+}
+
+TEST(Journal, PlanStateIsWrittenOnlyWhenPresent) {
+    journal_entry e = sample_entry();
+    EXPECT_EQ(to_line(e).find("\"plan\""), std::string::npos)
+        << "clean runs must keep the historical line format";
+    e.plan = "3,1,2,3,4,5,6";
+    const auto back = parse_line(to_line(e));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->plan, e.plan);
+    EXPECT_EQ(to_line(*back), to_line(e));
 }
 
 TEST(Journal, TornOrGarbageLinesParseToNothing) {
@@ -139,15 +149,15 @@ TEST(Journal, DuplicateConfigsKeepTheFirstOccurrence) {
     {
         journal_writer w(path, "sweep", false);
         journal_entry e = sample_entry();
-        e.status = "failed";
+        e.oc.st = outcome::status::failed;
         w.append(e);
-        e.status = "ok";
+        e.oc.st = outcome::status::ok;
         w.append(e);
     }
     const auto jf = read_journal(path, "sweep");
     ASSERT_TRUE(jf.has_value());
     ASSERT_EQ(jf->entries.size(), 1u);
-    EXPECT_EQ(jf->entries[0].status, "failed");
+    EXPECT_EQ(jf->entries[0].oc.st, outcome::status::failed);
 }
 
 TEST(Journal, MissingFileIsAFreshRunNotAnError) {

@@ -1,8 +1,6 @@
-// Retry/backoff behaviour of the resilient harness, outcome recording, and
-// the reproducibility contract: the same plan (same seed) over the same
+// Retry/backoff behaviour of the supervisor's retry loop, outcome recording,
+// and the reproducibility contract: the same plan (same seed) over the same
 // sweep yields a byte-for-byte identical report.
-#include "fault/retry.hpp"
-
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,80 +10,110 @@
 #include "apps/common/suite.hpp"
 #include "core/result_database.hpp"
 #include "fault/inject.hpp"
+#include "resilience/supervisor.hpp"
 #include "support/mini_json.hpp"
 
 namespace altis::fault {
 namespace {
 
+using resilience::journal_entry;
+using resilience::outcome;
+using resilience::supervisor;
+
+/// One configuration through a fresh supervisor with `opts`.
+journal_entry run_one(const supervisor::attempt_fn& attempt,
+                      const resilience::options& opts = {}) {
+    supervisor sup(opts, "retry-test");
+    return sup.run("config", "key", attempt).entry;
+}
+
 TEST(FaultRetry, CleanRunIsOkFirstAttempt) {
-    const outcome oc = run_guarded([] {}, retry_policy{});
-    EXPECT_TRUE(oc.succeeded());
-    EXPECT_EQ(oc.attempts, 1);
-    EXPECT_DOUBLE_EQ(oc.backoff_ms, 0.0);
-    EXPECT_STREQ(oc.label(), "ok");
+    const journal_entry e = run_one([](journal_entry&) {});
+    EXPECT_TRUE(e.oc.succeeded());
+    EXPECT_EQ(e.oc.attempts, 1);
+    EXPECT_DOUBLE_EQ(e.oc.backoff_ms, 0.0);
+    EXPECT_STREQ(e.oc.label(), "ok");
 }
 
 TEST(FaultRetry, RetryableFaultRetriesWithExponentialBackoff) {
     // alloc@1x2: the first two allocation probes fault, the third succeeds.
     plan p = plan::parse("alloc@1x2");
     scope s(p);
-    std::vector<double> backoffs;
-    const outcome oc = run_guarded(
-        [] { maybe_inject(op_kind::alloc, "usm_device"); }, retry_policy{},
-        false,
-        [&](int, const std::string&, double ms) { backoffs.push_back(ms); });
-    EXPECT_TRUE(oc.succeeded());
-    EXPECT_EQ(oc.attempts, 3);
-    EXPECT_STREQ(oc.label(), "retried");
-    ASSERT_EQ(backoffs.size(), 2u);
-    EXPECT_DOUBLE_EQ(backoffs[0], 25.0);
-    EXPECT_DOUBLE_EQ(backoffs[1], 50.0);
-    EXPECT_DOUBLE_EQ(oc.backoff_ms, 75.0);
+    std::vector<std::string> marks;
+    std::vector<std::string> seen_errors;
+    supervisor sup({}, "retry-test",
+                   [&](supervisor::mark m, std::string name) {
+                       EXPECT_EQ(m, supervisor::mark::retried);
+                       marks.push_back(std::move(name));
+                   });
+    const journal_entry e =
+        sup.run("config", "key", [&](journal_entry& out) {
+               // A retry still shows the failed attempt's error.
+               seen_errors.push_back(out.oc.error);
+               maybe_inject(op_kind::alloc, "usm_device");
+           }).entry;
+    EXPECT_TRUE(e.oc.succeeded());
+    EXPECT_EQ(e.oc.attempts, 3);
+    EXPECT_STREQ(e.oc.label(), "retried");
+    ASSERT_EQ(marks.size(), 2u);
+    EXPECT_NE(marks[0].find("retry 1: config (backoff 25.000000 ms)"),
+              std::string::npos);
+    EXPECT_NE(marks[1].find("retry 2: config (backoff 50.000000 ms)"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(e.oc.backoff_ms, 75.0);
+    ASSERT_EQ(seen_errors.size(), 3u);
+    EXPECT_TRUE(seen_errors[0].empty());
+    EXPECT_NE(seen_errors[1].find("injected alloc fault"), std::string::npos);
 }
 
 TEST(FaultRetry, NonRetryableFaultFailsImmediately) {
     plan p = plan::parse("launch@1");
     scope s(p);
-    const outcome oc = run_guarded(
-        [] { maybe_inject(op_kind::launch, "kernel"); }, retry_policy{});
-    EXPECT_FALSE(oc.succeeded());
-    EXPECT_EQ(oc.attempts, 1);
-    EXPECT_STREQ(oc.label(), "failed");
-    EXPECT_NE(oc.error.find("injected launch fault"), std::string::npos);
+    const journal_entry e = run_one(
+        [](journal_entry&) { maybe_inject(op_kind::launch, "kernel"); });
+    EXPECT_FALSE(e.oc.succeeded());
+    EXPECT_EQ(e.oc.attempts, 1);
+    EXPECT_STREQ(e.oc.label(), "failed");
+    EXPECT_NE(e.oc.error.find("injected launch fault"), std::string::npos);
 }
 
 TEST(FaultRetry, ExhaustedRetriesFail) {
     plan p = plan::parse("alloc@1x99");
     scope s(p);
-    retry_policy policy;
-    policy.max_attempts = 3;
-    const outcome oc = run_guarded(
-        [] { maybe_inject(op_kind::alloc, "usm_host"); }, policy);
-    EXPECT_FALSE(oc.succeeded());
-    EXPECT_EQ(oc.attempts, 3);
-    EXPECT_STREQ(oc.label(), "failed");
+    resilience::options opts;
+    opts.retry.max_attempts = 3;
+    const journal_entry e = run_one(
+        [](journal_entry& out) {
+            out.value = 1.0;
+            maybe_inject(op_kind::alloc, "usm_host");
+        },
+        opts);
+    EXPECT_FALSE(e.oc.succeeded());
+    EXPECT_EQ(e.oc.attempts, 3);
+    EXPECT_STREQ(e.oc.label(), "failed");
+    EXPECT_FALSE(e.value.has_value()) << "a failed config reports no result";
 }
 
 TEST(FaultRetry, FailFastRethrows) {
     plan p = plan::parse("launch@1");
     scope s(p);
+    resilience::options opts;
+    opts.fail_fast = true;
     EXPECT_THROW(
-        (void)run_guarded([] { maybe_inject(op_kind::launch, "k"); },
-                          retry_policy{}, /*fail_fast=*/true),
+        (void)run_one(
+            [](journal_entry&) { maybe_inject(op_kind::launch, "k"); }, opts),
         launch_fault);
 }
 
 TEST(FaultRetry, OrdinaryExceptionIsNotRetried) {
     int calls = 0;
-    const outcome oc = run_guarded(
-        [&] {
-            ++calls;
-            throw std::runtime_error("verification mismatch");
-        },
-        retry_policy{});
-    EXPECT_FALSE(oc.succeeded());
+    const journal_entry e = run_one([&](journal_entry&) {
+        ++calls;
+        throw std::runtime_error("verification mismatch");
+    });
+    EXPECT_FALSE(e.oc.succeeded());
     EXPECT_EQ(calls, 1);
-    EXPECT_EQ(oc.error, "verification mismatch");
+    EXPECT_EQ(e.oc.error, "verification mismatch");
 }
 
 TEST(FaultRetry, SameSeedSameOutcomes) {
@@ -94,13 +122,15 @@ TEST(FaultRetry, SameSeedSameOutcomes) {
     auto drive = [] {
         plan p = plan::parse("alloc%0.4;seed=123");
         scope s(p);
+        supervisor sup({}, "retry-test");
         std::string log;
         for (int i = 0; i < 20; ++i) {
-            const outcome oc = run_guarded(
-                [] { maybe_inject(op_kind::alloc, "usm_shared"); },
-                retry_policy{});
-            log += std::string(oc.label()) + ":" +
-                   std::to_string(oc.attempts) + ";";
+            const journal_entry e =
+                sup.run(std::to_string(i), "key", [](journal_entry&) {
+                       maybe_inject(op_kind::alloc, "usm_shared");
+                   }).entry;
+            (log += e.oc.label()) += ':';
+            (log += std::to_string(e.oc.attempts)) += ';';
         }
         return log;
     };
@@ -108,15 +138,21 @@ TEST(FaultRetry, SameSeedSameOutcomes) {
 }
 
 TEST(FaultRetry, FailedConfigStillYieldsWellFormedJson) {
+    // Under a fault plan every outcome is logged, the clean one included.
+    plan p = plan::parse("seed=1");
+    scope s(p);
+    const supervisor sup({}, "retry-test");
     ResultDatabase db;
     db.add_result("total_time", "app=kmeans", "ms", 12.5);
-    outcome failed;
-    failed.st = outcome::status::failed;
-    failed.attempts = 3;
-    failed.error = "injected alloc fault on 'usm_device' (rule alloc@1x99)";
-    record_outcome(db, "KMeans/fpga_opt/stratix_10/size2", failed);
-    outcome ok;
-    record_outcome(db, "NW/fpga_opt/stratix_10/size2", ok);
+    journal_entry failed;
+    failed.config = "KMeans/fpga_opt/stratix_10/size2";
+    failed.oc.st = outcome::status::failed;
+    failed.oc.attempts = 3;
+    failed.oc.error = "injected alloc fault on 'usm_device' (rule alloc@1x99)";
+    sup.record(db, failed);
+    journal_entry ok;
+    ok.config = "NW/fpga_opt/stratix_10/size2";
+    sup.record(db, ok);
 
     std::ostringstream out;
     db.dump_json(out);
@@ -146,11 +182,13 @@ TEST(FaultRetry, JsonKeepsLegacyArrayShapeWithoutOutcomes) {
 }
 
 TEST(FaultRetry, MergeAppendsResultsAndOutcomes) {
+    const supervisor sup({}, "retry-test");
     ResultDatabase main_db, attempt;
     attempt.add_result("total_time", "app=srad", "ms", 3.0);
-    outcome oc;
-    oc.attempts = 2;
-    record_outcome(attempt, "SRAD/sycl_opt/rtx_2080/size1", oc);
+    journal_entry e;
+    e.config = "SRAD/sycl_opt/rtx_2080/size1";
+    e.oc.attempts = 2;
+    sup.record(attempt, e);  // retried: logged even on a clean run
     main_db.merge(attempt);
     ASSERT_EQ(main_db.results().size(), 1u);
     EXPECT_EQ(main_db.results()[0].values.size(), 1u);
@@ -164,16 +202,15 @@ TEST(FaultRetry, MergeAppendsResultsAndOutcomes) {
 std::string fig4_style_sweep(const std::string& spec) {
     plan p = plan::parse(spec);
     scope s(p);
+    supervisor sup({}, "fig4-style");
     ResultDatabase db;
     for (const auto& e : bench::suite()) {
         if (!e.in_fig45) continue;
         for (const Variant v : {Variant::fpga_base, Variant::fpga_opt}) {
-            const auto co = bench::run_config(e, v, "stratix_10", 1);
-            bench::record_config_outcome(
-                db, bench::config_label(e, v, "stratix_10", 1), co, true);
-            if (co.ms) db.add_result("total_ms",
-                                     bench::config_label(e, v, "stratix_10", 1),
-                                     "ms", *co.ms);
+            const journal_entry co =
+                bench::run_config(e, v, "stratix_10", 1, sup);
+            sup.record(db, co);
+            if (co.value) db.add_result("total_ms", co.config, "ms", *co.value);
         }
     }
     std::ostringstream out;
@@ -212,26 +249,31 @@ TEST(FaultRetry, AllocFaultIsRetriedInSweep) {
     // retry then succeeds, every other config is clean.
     plan p = plan::parse("alloc@1");
     scope s(p);
+    supervisor sup({}, "sweep");
     const auto& e = bench::suite().front();
-    const auto co = bench::run_config(e, Variant::fpga_base, "stratix_10", 1);
+    const journal_entry co =
+        bench::run_config(e, Variant::fpga_base, "stratix_10", 1, sup);
     EXPECT_TRUE(co.oc.succeeded());
     EXPECT_EQ(co.oc.attempts, 2);
     EXPECT_STREQ(co.oc.label(), "retried");
-    ASSERT_TRUE(co.ms.has_value());
-    EXPECT_GT(*co.ms, 0.0);
+    ASSERT_TRUE(co.value.has_value());
+    EXPECT_GT(*co.value, 0.0);
 
-    const auto clean = bench::run_config(e, Variant::fpga_base, "stratix_10", 2);
+    const journal_entry clean =
+        bench::run_config(e, Variant::fpga_base, "stratix_10", 2, sup);
     EXPECT_TRUE(clean.oc.succeeded());
     EXPECT_EQ(clean.oc.attempts, 1);
 }
 
 TEST(FaultRetry, NonexistentConfigIsSkippedNotFailed) {
     // sycl_opt cannot target an FPGA: the config is reported skipped.
+    supervisor sup({}, "sweep");
     const auto& e = bench::suite().front();
-    const auto co = bench::run_config(e, Variant::sycl_opt, "stratix_10", 1);
-    EXPECT_TRUE(co.skipped);
+    const journal_entry co =
+        bench::run_config(e, Variant::sycl_opt, "stratix_10", 1, sup);
+    EXPECT_EQ(co.oc.st, outcome::status::skipped);
     EXPECT_STREQ(co.oc.label(), "skipped");
-    EXPECT_FALSE(co.ms.has_value());
+    EXPECT_FALSE(co.value.has_value());
 }
 
 }  // namespace

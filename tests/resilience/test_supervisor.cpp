@@ -7,7 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/result_database.hpp"
+#include "fault/inject.hpp"
 #include "resilience/cancel.hpp"
 
 namespace altis::resilience {
@@ -24,15 +28,33 @@ std::string slurp(const std::string& path) {
     return out.str();
 }
 
-journal_entry entry_for(const std::string& config, const std::string& status,
-                        double value) {
-    journal_entry e;
-    e.config = config;
-    e.status = status;
-    if (status == "ok" || status == "retried") e.value = value;
-    if (status == "failed") e.error = "injected fault";
-    e.log = config + ": " + status + "\n";
-    return e;
+/// Attempt body: succeeds with `value` and one log line, counting calls.
+supervisor::attempt_fn succeed(double value, int* calls = nullptr) {
+    return [=](journal_entry& e) {
+        if (calls != nullptr) ++*calls;
+        e.value = value;
+        e.log = e.config + ": ok\n";
+    };
+}
+
+/// Attempt body: a non-retryable failure, counting calls.
+supervisor::attempt_fn fail(int* calls = nullptr) {
+    return [=](journal_entry&) {
+        if (calls != nullptr) ++*calls;
+        throw std::runtime_error("injected fault");
+    };
+}
+
+/// Attempt body: a retryable injected fault on the first attempt, then
+/// `value`.
+supervisor::attempt_fn flaky(double value) {
+    return [=](journal_entry& e) {
+        if (e.oc.attempts == 1)
+            throw fault::alloc_fault(
+                fault::hit{fault::op_kind::alloc, "usm_device", "alloc@1"}, "");
+        e.value = value;
+        e.log = e.config + ": retried\n";
+    };
 }
 
 class Supervisor : public ::testing::Test {
@@ -50,16 +72,21 @@ TEST_F(Supervisor, FreshJournalRecordsEveryCompletedConfig) {
     EXPECT_EQ(sup.journal_path(), path);
     EXPECT_EQ(sup.replayable(), 0u);
 
-    auto r1 = sup.run("a", "key", [] { return entry_for("a", "ok", 1.0); });
+    auto r1 = sup.run("a", "key", succeed(1.0));
     EXPECT_FALSE(r1.replayed);
-    auto r2 = sup.run("b", "key", [] { return entry_for("b", "failed", 0); });
-    EXPECT_EQ(r2.entry.status, "failed");
+    // The settle step runs before the append: what it logs is journaled.
+    auto r2 = sup.run("b", "key", fail(), [](journal_entry& e) {
+        e.log += std::string("b: ") + e.oc.label() + "\n";
+    });
+    EXPECT_EQ(r2.entry.oc.st, outcome::status::failed);
 
     const auto jf = read_journal(path, "sweep");
     ASSERT_TRUE(jf.has_value());
     ASSERT_EQ(jf->entries.size(), 2u);
     EXPECT_EQ(jf->entries[0].config, "a");
-    EXPECT_EQ(jf->entries[1].status, "failed");
+    EXPECT_EQ(jf->entries[1].oc.st, outcome::status::failed);
+    EXPECT_EQ(jf->entries[1].oc.error, "injected fault");
+    EXPECT_EQ(jf->entries[1].log, "b: failed\n");
 }
 
 TEST_F(Supervisor, ResumeReplaysVerbatimWithoutRunningTheBody) {
@@ -69,7 +96,7 @@ TEST_F(Supervisor, ResumeReplaysVerbatimWithoutRunningTheBody) {
         options o;
         o.journal_path = path;
         supervisor sup(o, "sweep");
-        sup.run("a", "k", [] { return entry_for("a", "retried", 2.5); });
+        sup.run("a", "k", flaky(2.5));
     }
     const std::string after_first = slurp(path);
 
@@ -78,20 +105,17 @@ TEST_F(Supervisor, ResumeReplaysVerbatimWithoutRunningTheBody) {
     supervisor sup(o, "sweep");
     EXPECT_EQ(sup.replayable(), 1u);
     int body_calls = 0;
-    auto r = sup.run("a", "k", [&] {
-        ++body_calls;
-        return entry_for("a", "ok", 9.9);
-    });
+    auto r = sup.run("a", "k", succeed(9.9, &body_calls));
     EXPECT_TRUE(r.replayed);
     EXPECT_EQ(body_calls, 0) << "replayed configs must not re-run";
-    EXPECT_EQ(r.entry.status, "retried");
+    EXPECT_STREQ(r.entry.oc.label(), "retried");
     ASSERT_TRUE(r.entry.value.has_value());
     EXPECT_EQ(*r.entry.value, 2.5);
     EXPECT_EQ(r.entry.log, "a: retried\n");
 
     // Replay appends nothing; a new config extends the same file.
     EXPECT_EQ(slurp(path), after_first);
-    auto r2 = sup.run("b", "k", [] { return entry_for("b", "ok", 1.0); });
+    auto r2 = sup.run("b", "k", succeed(1.0));
     EXPECT_FALSE(r2.replayed);
     const auto jf = read_journal(path, "sweep");
     ASSERT_TRUE(jf.has_value());
@@ -107,7 +131,7 @@ TEST_F(Supervisor, ResumeWithFreshJournalCompacts) {
         options o;
         o.journal_path = old_path;
         supervisor sup(o, "sweep");
-        sup.run("a", "k", [] { return entry_for("a", "ok", 1.0); });
+        sup.run("a", "k", succeed(1.0));
     }
     // Resume from the old journal but write a fresh one: replays are
     // re-recorded so the new journal is complete on its own.
@@ -115,7 +139,7 @@ TEST_F(Supervisor, ResumeWithFreshJournalCompacts) {
     o.resume_path = old_path;
     o.journal_path = new_path;
     supervisor sup(o, "sweep");
-    auto r = sup.run("a", "k", [] { return entry_for("a", "ok", 7.0); });
+    auto r = sup.run("a", "k", succeed(7.0));
     EXPECT_TRUE(r.replayed);
     const auto jf = read_journal(new_path, "sweep");
     ASSERT_TRUE(jf.has_value());
@@ -145,30 +169,23 @@ TEST_F(Supervisor, BreakerQuarantinesAfterThresholdAndProbesAfterCooldown) {
     const std::string key = "app/fpga_opt/stratix_10";
 
     int body_calls = 0;
-    auto fail_body = [&] {
-        ++body_calls;
-        return entry_for("c" + std::to_string(body_calls), "failed", 0);
-    };
-    (void)sup.run("c1", key, fail_body);
-    (void)sup.run("c2", key, fail_body);
+    (void)sup.run("c1", key, fail(&body_calls));
+    (void)sup.run("c2", key, fail(&body_calls));
     EXPECT_EQ(body_calls, 2);
 
     // Third encounter: breaker open, quarantined without running.
-    auto q = sup.run("c3", key, fail_body);
+    auto q = sup.run("c3", key, fail(&body_calls));
     EXPECT_EQ(body_calls, 2);
     EXPECT_FALSE(q.replayed);
-    EXPECT_EQ(q.entry.status, "quarantined");
-    EXPECT_EQ(q.entry.attempts, 0);
-    EXPECT_NE(q.entry.error.find("circuit open"), std::string::npos);
-    EXPECT_NE(q.entry.error.find(key), std::string::npos);
+    EXPECT_EQ(q.entry.oc.st, outcome::status::quarantined);
+    EXPECT_EQ(q.entry.oc.attempts, 0);
+    EXPECT_NE(q.entry.oc.error.find("circuit open"), std::string::npos);
+    EXPECT_NE(q.entry.oc.error.find(key), std::string::npos);
 
     // Cooldown of 1 served; the next encounter is the half-open probe.
-    auto probe = sup.run("c4", key, [&] {
-        ++body_calls;
-        return entry_for("c4", "ok", 1.0);
-    });
+    auto probe = sup.run("c4", key, succeed(1.0, &body_calls));
     EXPECT_EQ(body_calls, 3);
-    EXPECT_EQ(probe.entry.status, "ok");
+    EXPECT_EQ(probe.entry.oc.st, outcome::status::ok);
     EXPECT_EQ(sup.circuit().state_of(key), breaker::state::closed);
 }
 
@@ -182,7 +199,7 @@ TEST_F(Supervisor, ReplayFeedsTheBreakerAcrossTheResumeBoundary) {
     o.journal_path = path;
     {
         supervisor sup(o, "sweep");
-        sup.run("c1", key, [] { return entry_for("c1", "failed", 0); });
+        sup.run("c1", key, fail());
     }
     // Resume: the replayed failure still counts, so one more live failure
     // trips the breaker exactly as an uninterrupted run would.
@@ -190,22 +207,22 @@ TEST_F(Supervisor, ReplayFeedsTheBreakerAcrossTheResumeBoundary) {
     r.breaker = o.breaker;
     r.resume_path = path;
     supervisor sup(r, "sweep");
-    auto c1 = sup.run("c1", key, [] { return entry_for("c1", "ok", 1.0); });
+    auto c1 = sup.run("c1", key, succeed(1.0));
     EXPECT_TRUE(c1.replayed);
     EXPECT_EQ(sup.circuit().consecutive_failures(key), 1);
-    (void)sup.run("c2", key, [] { return entry_for("c2", "failed", 0); });
-    auto c3 = sup.run("c3", key, [] { return entry_for("c3", "ok", 1.0); });
-    EXPECT_EQ(c3.entry.status, "quarantined");
+    (void)sup.run("c2", key, fail());
+    auto c3 = sup.run("c3", key, succeed(1.0));
+    EXPECT_EQ(c3.entry.oc.st, outcome::status::quarantined);
 }
 
 TEST_F(Supervisor, DeadlineStatusCountsAsHardFailure) {
-    EXPECT_TRUE(supervisor::hard_failure("failed"));
-    EXPECT_TRUE(supervisor::hard_failure("deadline"));
-    EXPECT_FALSE(supervisor::hard_failure("ok"));
-    EXPECT_FALSE(supervisor::hard_failure("retried"));
-    EXPECT_FALSE(supervisor::hard_failure("skipped"));
-    EXPECT_FALSE(supervisor::hard_failure("quarantined"));
-    EXPECT_FALSE(supervisor::hard_failure("cancelled"));
+    using st = outcome::status;
+    EXPECT_TRUE(supervisor::hard_failure(st::failed));
+    EXPECT_TRUE(supervisor::hard_failure(st::deadline));
+    EXPECT_FALSE(supervisor::hard_failure(st::ok));  // "ok" and "retried"
+    EXPECT_FALSE(supervisor::hard_failure(st::skipped));
+    EXPECT_FALSE(supervisor::hard_failure(st::quarantined));
+    EXPECT_FALSE(supervisor::hard_failure(st::cancelled));
 }
 
 TEST_F(Supervisor, CancelledEntriesAreNotJournaled) {
@@ -215,8 +232,13 @@ TEST_F(Supervisor, CancelledEntriesAreNotJournaled) {
         options o;
         o.journal_path = path;
         supervisor sup(o, "sweep");
-        sup.run("a", "k", [] { return entry_for("a", "ok", 1.0); });
-        sup.run("b", "k", [] { return entry_for("b", "cancelled", 0); });
+        sup.run("a", "k", succeed(1.0));
+        auto b = sup.run("b", "k", [](journal_entry&) {
+            current().cancel(cancel_reason::manual);
+            checkpoint();
+        });
+        EXPECT_EQ(b.entry.oc.st, outcome::status::cancelled);
+        current().reset();
     }
     const auto jf = read_journal(path, "sweep");
     ASSERT_TRUE(jf.has_value());
@@ -228,10 +250,7 @@ TEST_F(Supervisor, CancelledEntriesAreNotJournaled) {
     o.resume_path = path;
     supervisor sup(o, "sweep");
     int calls = 0;
-    auto r = sup.run("b", "k", [&] {
-        ++calls;
-        return entry_for("b", "ok", 2.0);
-    });
+    auto r = sup.run("b", "k", succeed(2.0, &calls));
     EXPECT_FALSE(r.replayed);
     EXPECT_EQ(calls, 1);
 }
@@ -241,14 +260,142 @@ TEST_F(Supervisor, BodyRunsUnderTheConfiguredDeadlineScope) {
     o.deadline_ms = 1e6;  // far away: must arm, never fire
     supervisor sup(o, "sweep");
     bool armed = false;
-    sup.run("a", "k", [&] {
-        armed = current().budget_ms() > 0.0;
-        return entry_for("a", "ok", 1.0);
-    });
+    sup.run("a", "k",
+            [&](journal_entry&) { armed = current().budget_ms() > 0.0; });
     EXPECT_TRUE(armed);
     // Scope left: disabled fast path again.
     EXPECT_FALSE(cancellation_requested());
     EXPECT_EQ(current().budget_ms(), 0.0);
+}
+
+TEST_F(Supervisor, MarksRetriesAndDegradedEndsButNotReplays) {
+    const std::string path = tmp_path("marks.jsonl");
+    std::remove(path.c_str());
+    std::vector<std::pair<supervisor::mark, std::string>> marks;
+    auto sink = [&](supervisor::mark m, std::string name) {
+        marks.emplace_back(m, std::move(name));
+    };
+    options o;
+    o.breaker.threshold = 1;
+    o.breaker.cooldown = 5;
+    o.journal_path = path;
+    {
+        supervisor sup(o, "sweep", sink);
+        (void)sup.run("a", "ka", flaky(1.0));
+        (void)sup.run("b", "kb", fail());
+        (void)sup.run("c", "kb", succeed(1.0));  // breaker open
+    }
+    ASSERT_EQ(marks.size(), 2u);
+    EXPECT_EQ(marks[0].first, supervisor::mark::retried);
+    EXPECT_EQ(marks[0].second.rfind("retry 1: a (backoff 25.000000 ms): ", 0),
+              0u)
+        << marks[0].second;
+    EXPECT_EQ(marks[1].first, supervisor::mark::quarantined);
+    EXPECT_EQ(marks[1].second.rfind("quarantined: c: circuit open", 0), 0u)
+        << marks[1].second;
+
+    // A replayed sweep marks nothing: its timeline was drawn the first time.
+    marks.clear();
+    options r = o;
+    r.journal_path.clear();
+    r.resume_path = path;
+    supervisor sup(r, "sweep", sink);
+    (void)sup.run("a", "ka", succeed(1.0));
+    (void)sup.run("c", "kb", succeed(1.0));
+    EXPECT_TRUE(marks.empty());
+
+    // A deadline overrun is marked cancelled, naming its status.
+    options d;
+    d.deadline_ms = 10.0;
+    supervisor timed(d, "sweep", sink);
+    (void)timed.run("slow", "k", [](journal_entry&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        checkpoint();
+    });
+    ASSERT_EQ(marks.size(), 1u);
+    EXPECT_EQ(marks[0].first, supervisor::mark::cancelled);
+    EXPECT_EQ(marks[0].second.rfind("deadline: slow", 0), 0u)
+        << marks[0].second;
+}
+
+/// A sweep of `n` configurations under `spec`, each probing the plan on
+/// every attempt; returns each config's label:attempts.
+std::string probing_sweep(const std::string& spec, const options& o, int n) {
+    fault::plan p = fault::plan::parse(spec);
+    fault::scope s(p);
+    supervisor sup(o, "sweep");
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+        const journal_entry e =
+            sup.run(std::to_string(i), std::to_string(i),
+                    [](journal_entry&) {
+                        for (int k = 0; k < 3; ++k)
+                            fault::maybe_inject(fault::op_kind::alloc, "usm");
+                    })
+                .entry;
+        (out += e.oc.label()) += ':';
+        (out += std::to_string(e.oc.attempts)) += ';';
+    }
+    return out;
+}
+
+TEST_F(Supervisor, ResumeUnderAFaultPlanContinuesItsFiringState) {
+    const std::string full = tmp_path("plan_full.jsonl");
+    const std::string part = tmp_path("plan_part.jsonl");
+    std::remove(full.c_str());
+    std::remove(part.c_str());
+    const std::string spec = "alloc%0.3;alloc@5x2;seed=11";
+    options o;
+    o.breaker.threshold = 0;
+    o.journal_path = full;
+    const std::string want = probing_sweep(spec, o, 12);
+
+    // Keep the header and the first four entries, as a SIGKILL would.
+    std::istringstream lines(slurp(full));
+    std::string line, stump;
+    for (int i = 0; i < 5 && std::getline(lines, line); ++i)
+        stump += line + "\n";
+    EXPECT_NE(stump.find("\"plan\":"), std::string::npos);
+    std::ofstream(part, std::ios::binary) << stump;
+
+    options r;
+    r.breaker.threshold = 0;
+    r.resume_path = part;
+    EXPECT_EQ(probing_sweep(spec, r, 12), want);
+    EXPECT_EQ(slurp(part), slurp(full));
+}
+
+TEST_F(Supervisor, OneRuleDecidesWhatTheOutcomeLogRecords) {
+    auto logged = [](const options& o, const journal_entry& e) {
+        const supervisor sup(o, "sweep");
+        ResultDatabase db;
+        sup.record(db, e);
+        return db.outcomes().size() == 1;
+    };
+    journal_entry ok;
+    ok.config = "ok";
+    journal_entry retried = ok;
+    retried.oc.attempts = 2;
+    journal_entry failed = ok;
+    failed.oc.st = outcome::status::failed;
+    const journal_entry skipped = supervisor::skipped("s", "n/a here");
+    EXPECT_EQ(skipped.oc.st, outcome::status::skipped);
+
+    // A clean run keeps its historical report: only what degraded.
+    const options clean;
+    EXPECT_FALSE(logged(clean, ok));
+    EXPECT_FALSE(logged(clean, skipped));
+    EXPECT_TRUE(logged(clean, retried));
+    EXPECT_TRUE(logged(clean, failed));
+    // Supervising beyond breaker and retries, or injecting, logs everything.
+    options journaled;
+    journaled.journal_path = tmp_path("rule.jsonl");
+    EXPECT_TRUE(logged(journaled, ok));
+    EXPECT_TRUE(logged(journaled, skipped));
+    fault::plan p = fault::plan::parse("seed=3");
+    fault::scope s(p);
+    EXPECT_TRUE(logged(clean, ok));
+    EXPECT_TRUE(logged(clean, skipped));
 }
 
 }  // namespace

@@ -193,12 +193,29 @@ TEST(GraphSched, EventWaitIsATargetedJoin) {
     queue q("rtx_2080", queue_property::out_of_order);
     buffer<int> a(64), b(64);
     std::atomic<int> b_ran{0};
+    std::atomic<bool> open{false};
     event e_a = q.submit([&](handler& h) {
         auto acc = h.get_access(a, access_mode::discard_write);
         h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("ka"),
                        [=](nd_item<1> it) { acc[it.get_global_id(0)] = 7; });
     });
+    // kb sits behind a gate that opens only after e_a.wait() returned, so no
+    // pool worker can run it early. The gate follows ka: it is not ready
+    // before ka settles, and the join stops there, so it never runs the gate
+    // itself. A join that drained the graph would wait out the gate's bound
+    // and run kb.
+    event gate = q.submit([&](handler& h) {
+        h.depends_on(e_a);
+        h.library_call(stats("gate"), [&] {
+            const auto limit =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (!open.load(std::memory_order_acquire) &&
+                   std::chrono::steady_clock::now() < limit)
+                std::this_thread::yield();
+        });
+    });
     q.submit([&](handler& h) {
+        h.depends_on(gate);
         auto acc = h.get_access(b, access_mode::discard_write);
         h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("kb"),
                        [=, &b_ran](nd_item<1> it) {
@@ -209,7 +226,8 @@ TEST(GraphSched, EventWaitIsATargetedJoin) {
     e_a.wait();  // joins ka (and only what ka depends on -- nothing)
     EXPECT_EQ(a.host_data()[0], 7);
     EXPECT_EQ(b_ran.load(std::memory_order_relaxed), 0)
-        << "event::wait() drained an unrelated command";
+        << "event::wait() joined commands submitted after its own";
+    open.store(true, std::memory_order_release);
     q.wait();
     EXPECT_EQ(b.host_data()[0], 8);
 }
