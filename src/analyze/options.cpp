@@ -6,6 +6,7 @@
 
 #include "analyze/sanitize.hpp"
 #include "analyze/sarif.hpp"
+#include "core/artifact.hpp"
 
 namespace altis::analyze {
 
@@ -25,22 +26,17 @@ int finish(const recorder& rec, const options& opt, std::ostream& out,
     r.render_text(out);
     if (sink)
         for (const finding& f : r.findings()) sink(f);
-    if (!opt.json_path.empty()) {
-        std::ofstream f(opt.json_path);
-        if (!f) {
-            err << "error: cannot write " << opt.json_path << "\n";
-            return 2;
-        }
-        r.render_json(f);
-    }
-    if (!opt.sarif_path.empty()) {
-        std::ofstream f(opt.sarif_path);
-        if (!f) {
-            err << "error: cannot write " << opt.sarif_path << "\n";
-            return 2;
-        }
-        render_sarif(r, f);
-    }
+    // Every requested file is attempted; any failure is exit code 2.
+    bool written = true;
+    if (!opt.json_path.empty())
+        written &= write_artifact(
+            opt.json_path, "sanitize",
+            [&](std::ostream& f) { r.render_json(f); }, out, err);
+    if (!opt.sarif_path.empty())
+        written &= write_artifact(
+            opt.sarif_path, "sanitize",
+            [&](std::ostream& f) { render_sarif(r, f); }, out, err);
+    if (!written) return 2;
     return opt.lv == level::error && r.count_at_least(severity::warning) > 0
                ? 1
                : 0;

@@ -44,7 +44,8 @@ using span_sink = std::function<void(const finding&)>;
 /// trace spans) when provided. Returns the process exit code contribution:
 /// 1 when level is `error` and any warning-or-worse finding exists
 /// (baselined findings are notes and never gate), 2 when an output file
-/// could not be written or the baseline could not be read, else 0.
+/// could not be written (both requested files are attempted, each failure
+/// is one line on `err`) or the baseline could not be read, else 0.
 [[nodiscard]] int finish(const recorder& rec, const options& opt,
                          std::ostream& out, std::ostream& err,
                          const span_sink& sink = {});

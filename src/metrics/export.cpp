@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "core/json.hpp"
+
 namespace altis::metrics {
 
 namespace {
@@ -42,27 +44,6 @@ void write_label_set_with(std::ostream& out, const label_set& labels,
     for (const auto& [k, v] : labels)
         out << k << "=\"" << escape_label_value(v) << "\",";
     out << extra_key << "=\"" << escape_label_value(extra_value) << "\"}";
-}
-
-/// JSON string emission, mirroring chrome_export's escaping.
-void write_json_string(std::ostream& out, const std::string& s) {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    static const char* hex = "0123456789abcdef";
-                    out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-                } else {
-                    out << c;
-                }
-        }
-    }
-    out << '"';
 }
 
 /// Highest non-empty bucket index, so expositions stay compact: a latency
@@ -135,27 +116,22 @@ void write_prometheus(const snapshot& snap, std::ostream& out) {
 void write_json(const snapshot& snap,
                 const std::vector<sampled_series>& series,
                 std::ostream& out) {
-    out << "{\n  \"session\": ";
-    write_json_string(out, snap.session_name);
-    out << ",\n  \"duration_ns\": " << snap.duration_ns;
+    out << "{\n  \"session\": " << json::quoted(snap.session_name)
+        << ",\n  \"duration_ns\": " << snap.duration_ns;
     out << ",\n  \"metrics\": [\n";
     bool first = true;
     for (const metric_value& m : snap.metrics) {
         if (!first) out << ",\n";
         first = false;
-        out << "    {\"name\": ";
-        write_json_string(out, m.info.name);
-        out << ", \"type\": ";
-        write_json_string(out, to_string(m.info.kind));
+        out << "    {\"name\": " << json::quoted(m.info.name)
+            << ", \"type\": " << json::quoted(to_string(m.info.kind));
         if (!m.info.labels.empty()) {
             out << ", \"labels\": {";
             bool lf = true;
             for (const auto& [k, v] : m.info.labels) {
                 if (!lf) out << ", ";
                 lf = false;
-                write_json_string(out, k);
-                out << ": ";
-                write_json_string(out, v);
+                out << json::quoted(k) << ": " << json::quoted(v);
             }
             out << '}';
         }
@@ -177,18 +153,15 @@ void write_json(const snapshot& snap,
         } else {
             out << ", \"value\": " << m.value;
         }
-        out << ", \"help\": ";
-        write_json_string(out, m.info.help);
-        out << '}';
+        out << ", \"help\": " << json::quoted(m.info.help) << '}';
     }
     out << "\n  ],\n  \"series\": [\n";
     first = true;
     for (const sampled_series& s : series) {
         if (!first) out << ",\n";
         first = false;
-        out << "    {\"name\": ";
-        write_json_string(out, s.info.name);
-        out << ", \"samples\": [";
+        out << "    {\"name\": " << json::quoted(s.info.name)
+            << ", \"samples\": [";
         bool sf = true;
         for (const auto& [t, v] : s.samples) {
             if (!sf) out << ", ";
@@ -211,8 +184,7 @@ void write_chrome_counter_events(const std::vector<sampled_series>& series,
            "\"args\": {\"name\": \"wall-clock metrics\"}}";
     for (const sampled_series& s : series) {
         for (const auto& [t, v] : s.samples) {
-            out << ",\n    {\"name\": ";
-            write_json_string(out, s.info.name);
+            out << ",\n    {\"name\": " << json::quoted(s.info.name);
             // ts is microseconds; wall-clock ns survive as fractions.
             out << ", \"ph\": \"C\", \"ts\": " << t / 1e3
                 << ", \"pid\": 2, \"args\": {\"value\": " << v << "}}";

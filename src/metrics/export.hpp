@@ -5,9 +5,8 @@
 //     series with `le` labels, label values escaped per the exposition
 //     format spec (backslash, double-quote, newline).
 //   * Structured JSON (write_json): the snapshot plus the sampler's time
-//     series, following the suite's hand-rolled-emitter conventions
-//     (ResultDatabase, chrome_export) so tests/support/mini_json.hpp can
-//     parse it back.
+//     series, its strings written through the suite's one JSON codec
+//     (core/json.hpp).
 //   * Chrome trace-event counter tracks (write_chrome_counter_events):
 //     "ph":"C" events that trace::write_chrome_json splices into its
 //     traceEvents array, so simulated spans and wall-clock counters render

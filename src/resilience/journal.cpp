@@ -7,196 +7,26 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
-#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <system_error>
+
+#include "core/json.hpp"
 
 namespace altis::resilience {
 
 namespace {
 
-// ---- writing --------------------------------------------------------------
-
-void append_escaped(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
 /// Shortest round-tripping decimal form: the resumed sweep must reproduce
 /// the original doubles bit-for-bit or byte-identity is off the table.
-void append_double(std::string& out, double v) {
+void write_double(std::ostream& out, double v) {
     char buf[64];
     const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
     if (ec != std::errc{}) {
-        out += "0";
+        out << '0';
         return;
     }
-    out.append(buf, ptr);
-}
-
-// ---- parsing --------------------------------------------------------------
-
-/// Cursor over one line of the journal's JSON subset. Parse failures set
-/// ok=false and stick; callers check once at the end.
-struct cursor {
-    const char* p;
-    const char* end;
-    bool ok = true;
-
-    void skip_ws() {
-        while (p < end && (*p == ' ' || *p == '\t')) ++p;
-    }
-    bool consume(char c) {
-        skip_ws();
-        if (p < end && *p == c) {
-            ++p;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-    [[nodiscard]] bool peek(char c) {
-        skip_ws();
-        return p < end && *p == c;
-    }
-
-    std::string parse_string() {
-        std::string s;
-        if (!consume('"')) return s;
-        while (p < end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
-            if (p >= end) {
-                ok = false;
-                return s;
-            }
-            const char esc = *p++;
-            switch (esc) {
-                case '"': s += '"'; break;
-                case '\\': s += '\\'; break;
-                case '/': s += '/'; break;
-                case 'n': s += '\n'; break;
-                case 't': s += '\t'; break;
-                case 'r': s += '\r'; break;
-                case 'b': s += '\b'; break;
-                case 'f': s += '\f'; break;
-                case 'u': {
-                    if (end - p < 4) {
-                        ok = false;
-                        return s;
-                    }
-                    unsigned code = 0;
-                    const auto [ptr, ec] =
-                        std::from_chars(p, p + 4, code, 16);
-                    if (ec != std::errc{} || ptr != p + 4 || code > 0xFF) {
-                        // The writer only emits \u00XX for control bytes.
-                        ok = false;
-                        return s;
-                    }
-                    p += 4;
-                    s += static_cast<char>(code);
-                    break;
-                }
-                default: ok = false; return s;
-            }
-        }
-        if (p >= end) {
-            ok = false;
-            return s;
-        }
-        ++p;  // closing quote
-        return s;
-    }
-
-    double parse_number() {
-        skip_ws();
-        double v = 0.0;
-        const auto [ptr, ec] = std::from_chars(p, end, v);
-        if (ec != std::errc{}) {
-            ok = false;
-            return 0.0;
-        }
-        p = ptr;
-        return v;
-    }
-
-    /// Skip any value (future-proofing: unknown keys are ignored).
-    void skip_value() {
-        skip_ws();
-        if (p >= end) {
-            ok = false;
-            return;
-        }
-        if (*p == '"') {
-            (void)parse_string();
-        } else if (*p == '{') {
-            ++p;
-            if (peek('}')) {
-                ++p;
-                return;
-            }
-            do {
-                (void)parse_string();
-                consume(':');
-                skip_value();
-            } while (ok && peek(',') && consume(','));
-            consume('}');
-        } else if (*p == '[') {
-            ++p;
-            if (peek(']')) {
-                ++p;
-                return;
-            }
-            do {
-                skip_value();
-            } while (ok && peek(',') && consume(','));
-            consume(']');
-        } else if (std::strncmp(p, "null", 4) == 0 && end - p >= 4) {
-            p += 4;
-        } else if (std::strncmp(p, "true", 4) == 0 && end - p >= 4) {
-            p += 4;
-        } else if (std::strncmp(p, "false", 5) == 0 && end - p >= 5) {
-            p += 5;
-        } else {
-            (void)parse_number();
-        }
-    }
-};
-
-std::vector<double> parse_number_array(cursor& c) {
-    std::vector<double> out;
-    if (!c.consume('[')) return out;
-    if (c.peek(']')) {
-        c.consume(']');
-        return out;
-    }
-    do {
-        out.push_back(c.parse_number());
-    } while (c.ok && c.peek(',') && c.consume(','));
-    c.consume(']');
-    return out;
+    out.write(buf, ptr - buf);
 }
 
 /// Inverse of outcome::label() ("retried" is ok with attempts > 1, which
@@ -211,24 +41,10 @@ outcome::status status_from_label(const std::string& label) {
     return st::failed;
 }
 
-journal_series parse_series(cursor& c) {
-    journal_series s;
-    if (!c.consume('{')) return s;
-    if (c.peek('}')) {
-        c.consume('}');
-        return s;
-    }
-    do {
-        const std::string key = c.parse_string();
-        c.consume(':');
-        if (key == "test") s.test = c.parse_string();
-        else if (key == "atts") s.atts = c.parse_string();
-        else if (key == "unit") s.unit = c.parse_string();
-        else if (key == "values") s.values = parse_number_array(c);
-        else c.skip_value();
-    } while (c.ok && c.peek(',') && c.consume(','));
-    c.consume('}');
-    return s;
+/// The string member `key` of `obj`, or "" when absent.
+std::string string_field(const json::value& obj, const std::string& key) {
+    const json::value* v = obj.find(key);
+    return v != nullptr ? v->as_string() : std::string();
 }
 
 }  // namespace
@@ -246,97 +62,71 @@ const char* outcome::label() const {
 }
 
 std::string to_line(const journal_entry& e) {
-    std::string out = "{\"config\":";
-    append_escaped(out, e.config);
-    out += ",\"status\":";
-    append_escaped(out, e.oc.label());
-    out += ",\"attempts\":" + std::to_string(e.oc.attempts);
-    out += ",\"backoff_ms\":";
-    append_double(out, e.oc.backoff_ms);
-    if (!e.oc.error.empty()) {
-        out += ",\"error\":";
-        append_escaped(out, e.oc.error);
-    }
+    std::ostringstream out;
+    out << "{\"config\":" << json::quoted(e.config)
+        << ",\"status\":" << json::quoted(e.oc.label())
+        << ",\"attempts\":" << e.oc.attempts << ",\"backoff_ms\":";
+    write_double(out, e.oc.backoff_ms);
+    if (!e.oc.error.empty()) out << ",\"error\":" << json::quoted(e.oc.error);
     if (e.value) {
-        out += ",\"value\":";
-        append_double(out, *e.value);
+        out << ",\"value\":";
+        write_double(out, *e.value);
     }
-    if (!e.log.empty()) {
-        out += ",\"log\":";
-        append_escaped(out, e.log);
-    }
+    if (!e.log.empty()) out << ",\"log\":" << json::quoted(e.log);
     if (!e.results.empty()) {
-        out += ",\"results\":[";
+        out << ",\"results\":[";
         for (std::size_t i = 0; i < e.results.size(); ++i) {
             const journal_series& s = e.results[i];
-            if (i > 0) out += ',';
-            out += "{\"test\":";
-            append_escaped(out, s.test);
-            out += ",\"atts\":";
-            append_escaped(out, s.atts);
-            out += ",\"unit\":";
-            append_escaped(out, s.unit);
-            out += ",\"values\":[";
+            if (i > 0) out << ',';
+            out << "{\"test\":" << json::quoted(s.test)
+                << ",\"atts\":" << json::quoted(s.atts)
+                << ",\"unit\":" << json::quoted(s.unit) << ",\"values\":[";
             for (std::size_t j = 0; j < s.values.size(); ++j) {
-                if (j > 0) out += ',';
-                append_double(out, s.values[j]);
+                if (j > 0) out << ',';
+                write_double(out, s.values[j]);
             }
-            out += "]}";
+            out << "]}";
         }
-        out += ']';
+        out << ']';
     }
-    if (!e.plan.empty()) {
-        out += ",\"plan\":";
-        append_escaped(out, e.plan);
-    }
-    out += '}';
-    return out;
+    if (!e.plan.empty()) out << ",\"plan\":" << json::quoted(e.plan);
+    out << '}';
+    return out.str();
 }
 
 std::optional<journal_entry> parse_line(const std::string& line) {
-    cursor c{line.data(), line.data() + line.size()};
-    journal_entry e;
-    bool saw_config = false;
-    if (!c.consume('{')) return std::nullopt;
-    if (!c.peek('}')) {
-        do {
-            const std::string key = c.parse_string();
-            c.consume(':');
-            if (key == "config") {
-                e.config = c.parse_string();
-                saw_config = true;
-            } else if (key == "status") {
-                e.oc.st = status_from_label(c.parse_string());
-            } else if (key == "attempts") {
-                e.oc.attempts = static_cast<int>(c.parse_number());
-            } else if (key == "backoff_ms") {
-                e.oc.backoff_ms = c.parse_number();
-            } else if (key == "error") {
-                e.oc.error = c.parse_string();
-            } else if (key == "value") {
-                e.value = c.parse_number();
-            } else if (key == "log") {
-                e.log = c.parse_string();
-            } else if (key == "plan") {
-                e.plan = c.parse_string();
-            } else if (key == "results") {
-                if (!c.consume('[')) break;
-                if (c.peek(']')) {
-                    c.consume(']');
-                } else {
-                    do {
-                        e.results.push_back(parse_series(c));
-                    } while (c.ok && c.peek(',') && c.consume(','));
-                    c.consume(']');
-                }
-            } else {
-                c.skip_value();
+    // A torn or malformed line -- bad JSON, a missing config, a field of the
+    // wrong type -- is work not yet completed, never an error.
+    try {
+        const json::value v = json::parse(line);
+        journal_entry e;
+        e.config = v.at("config").as_string();
+        if (const json::value* st = v.find("status"))
+            e.oc.st = status_from_label(st->as_string());
+        if (const json::value* a = v.find("attempts"))
+            e.oc.attempts = static_cast<int>(a->as_number());
+        if (const json::value* b = v.find("backoff_ms"))
+            e.oc.backoff_ms = b->as_number();
+        e.oc.error = string_field(v, "error");
+        if (const json::value* x = v.find("value")) e.value = x->as_number();
+        e.log = string_field(v, "log");
+        e.plan = string_field(v, "plan");
+        if (const json::value* rs = v.find("results")) {
+            for (const json::value& r : rs->as_array()) {
+                journal_series s{string_field(r, "test"),
+                                 string_field(r, "atts"),
+                                 string_field(r, "unit"),
+                                 {}};
+                if (const json::value* vals = r.find("values"))
+                    for (const json::value& x : vals->as_array())
+                        s.values.push_back(x.as_number());
+                e.results.push_back(std::move(s));
             }
-        } while (c.ok && c.peek(',') && c.consume(','));
+        }
+        return e;
+    } catch (const json::error&) {
+        return std::nullopt;
     }
-    c.consume('}');
-    if (!c.ok || !saw_config) return std::nullopt;
-    return e;
 }
 
 // ---- writer ---------------------------------------------------------------
@@ -348,10 +138,9 @@ namespace {
 }
 
 std::string header_line(const std::string& sweep) {
-    std::string h = "{\"altis_journal\":1,\"sweep\":";
-    append_escaped(h, sweep);
-    h += "}\n";
-    return h;
+    std::ostringstream h;
+    h << "{\"altis_journal\":1,\"sweep\":" << json::quoted(sweep) << "}\n";
+    return h.str();
 }
 
 }  // namespace
@@ -418,32 +207,20 @@ std::optional<journal_file> read_journal(const std::string& path,
     if (!in) throw std::runtime_error("journal: cannot read " + path);
     journal_file jf;
     std::string line;
-    std::set<std::string> seen;
     bool saw_header = false;
     while (std::getline(in, line)) {
         if (line.empty()) continue;
         if (!saw_header) {
-            // Header is a JSON object too; reuse the entry parser's cursor
-            // machinery by hand for its two fields.
-            cursor c{line.data(), line.data() + line.size()};
-            int version = 0;
-            if (c.consume('{')) {
-                do {
-                    const std::string key = c.parse_string();
-                    c.consume(':');
-                    if (key == "altis_journal")
-                        version = static_cast<int>(c.parse_number());
-                    else if (key == "sweep")
-                        jf.sweep = c.parse_string();
-                    else
-                        c.skip_value();
-                } while (c.ok && c.peek(',') && c.consume(','));
-                c.consume('}');
-            }
-            if (!c.ok || version != 1)
+            try {
+                const json::value h = json::parse(line);
+                if (h.at("altis_journal").as_number() != 1)
+                    throw json::error("journal: unknown version");
+                jf.sweep = h.at("sweep").as_string();
+            } catch (const json::error&) {
                 throw std::runtime_error(
                     "journal: " + path +
                     " is not an altis journal (bad header)");
+            }
             if (jf.sweep != expected_sweep)
                 throw std::runtime_error(
                     "journal: " + path + " belongs to sweep '" + jf.sweep +
@@ -452,13 +229,10 @@ std::optional<journal_file> read_journal(const std::string& path,
             continue;
         }
         // A SIGKILL mid-append leaves at most one torn final line; anything
-        // unparseable is treated as not-yet-completed work. Duplicate
-        // configs keep the first occurrence -- that is the entry the
-        // original run's report was built from.
-        if (auto e = parse_line(line)) {
-            if (seen.insert(e->config).second)
-                jf.entries.push_back(std::move(*e));
-        }
+        // unparseable is treated as not-yet-completed work. A label that
+        // repeats keeps every entry, in order: a sweep that encounters a
+        // configuration several times journals each encounter.
+        if (auto e = parse_line(line)) jf.entries.push_back(std::move(*e));
     }
     if (!saw_header)
         return std::nullopt;  // empty file: nothing was ever journaled

@@ -110,8 +110,8 @@ private:
 };
 
 /// Parsed journal: the sweep it belongs to plus the completed entries in
-/// append order (duplicates keep the first occurrence; a torn final line
-/// is dropped).
+/// append order (every entry of a repeated label is kept; a torn final
+/// line is dropped).
 struct journal_file {
     std::string sweep;
     std::vector<journal_entry> entries;

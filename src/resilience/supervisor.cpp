@@ -41,8 +41,12 @@ supervisor::result supervisor::run(const std::string& config,
                                    const std::string& breaker_key,
                                    const attempt_fn& attempt,
                                    const settle_fn& settle) {
-    if (const auto it = replay_.find(config); it != replay_.end()) {
-        result r{it->second, /*replayed=*/true};
+    // A label the sweep encounters more than once replays its journaled
+    // entries in order, one per encounter.
+    if (const auto it = replay_.lower_bound(config);
+        it != replay_.end() && it->first == config) {
+        result r{std::move(it->second), /*replayed=*/true};
+        replay_.erase(it);
         // Drive the breaker through the same admit/report sequence the
         // original run took: the sweep re-encounters configs in the same
         // deterministic order, so breaker state (and every later

@@ -56,7 +56,8 @@ public:
     ///  1. a completed `config` in the resume journal is replayed verbatim
     ///     (feeding the breaker exactly as the original run did, so breaker
     ///     decisions evolve identically, and restoring the fault plan's
-    ///     firing state when the entry carries one);
+    ///     firing state when the entry carries one); a label journaled
+    ///     several times replays its entries in order, one per encounter;
     ///  2. an open breaker for `breaker_key` quarantines the config without
     ///     running it;
     ///  3. otherwise `attempt` runs under the configured deadline scope and
@@ -103,7 +104,9 @@ private:
     breaker breaker_;
     std::optional<journal_writer> writer_;
     bool writer_appends_ = false;  ///< writer continues the resume journal
-    std::map<std::string, journal_entry> replay_;
+    /// Resume entries not yet replayed; a repeated label's entries keep
+    /// their journal order (multimap inserts equal keys at the back).
+    std::multimap<std::string, journal_entry> replay_;
 };
 
 }  // namespace altis::resilience

@@ -30,6 +30,7 @@ struct node_rec {
     /// Unsatisfied prerequisites: one per unsettled dependency, plus one for
     /// the pending release() (two-phase submit).
     int unmet = 1;
+    std::vector<std::uint64_t> deps;  ///< resolved edges (explicit + implied)
     std::vector<std::uint64_t> dependents;
     detail::small_function<void(thread_pool&)> exec;
     bool transfer = false;
@@ -148,6 +149,27 @@ public:
         segs = std::move(next);
     }
 
+    /// `id` and its unsettled ancestors, sorted: the nodes a targeted join
+    /// may run itself. The set only shrinks afterwards, since every edge
+    /// points at an earlier node. Caller holds mu.
+    [[nodiscard]] std::vector<std::uint64_t> unsettled_ancestors(
+        std::uint64_t id) {
+        std::vector<bool> seen(nodes.size());
+        std::vector<std::uint64_t> out, todo{id};
+        while (!todo.empty()) {
+            node_rec* n = find(todo.back());
+            todo.pop_back();
+            if (n == nullptr || is_settled(n->state) ||
+                seen[n->id - epoch_base])
+                continue;
+            seen[n->id - epoch_base] = true;
+            out.push_back(n->id);
+            todo.insert(todo.end(), n->deps.begin(), n->deps.end());
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
     /// Moves `n` onto the ready list and adds it to `to_post`, the ids the
     /// caller posts pool tasks for once mu is released. Caller holds mu.
     void make_ready(node_rec& n, std::vector<std::uint64_t>& to_post) {
@@ -251,12 +273,11 @@ void settle(const std::shared_ptr<scheduler_state>& st, std::uint64_t id,
     post_dispatch(st, newly_ready);
 }
 
-/// Join-side helper: runs one ready node inline if any. Caller holds `lock`;
+/// Join-side helper: runs node `id` inline (0: none). Caller holds `lock`;
 /// returns with it re-held.
-bool try_run_ready(const std::shared_ptr<scheduler_state>& st,
-                   std::unique_lock<std::mutex>& lock) {
-    if (st->ready.empty()) return false;
-    const std::uint64_t id = st->ready.front();
+bool try_run(const std::shared_ptr<scheduler_state>& st,
+             std::unique_lock<std::mutex>& lock, std::uint64_t id) {
+    if (id == 0) return false;
     lock.unlock();
     run_one(st, id);
     lock.lock();
@@ -335,6 +356,7 @@ ticket scheduler::enqueue(submission s) {
     t.end_ns = end;
     t.deps = deps;
 
+    n.deps = std::move(deps);
     n.id = t.id;
     n.index = st.next_index++;
     n.name = std::move(s.name);
@@ -351,7 +373,7 @@ ticket scheduler::enqueue(submission s) {
     if (altis::metrics::collecting()) {
         namespace mi = altis::metrics::instruments;
         mi::sched_nodes().add();
-        mi::sched_edges().add(deps.size());
+        mi::sched_edges().add(t.deps.size());
     }
     return t;
 }
@@ -373,7 +395,8 @@ void scheduler::release(std::uint64_t id, int actor) {
 void scheduler::wait_all() {
     std::unique_lock lock(state_->mu);
     while (state_->unsettled != 0) {
-        if (!try_run_ready(state_, lock))
+        if (!try_run(state_, lock,
+                     state_->ready.empty() ? 0 : state_->ready.front()))
             state_->cv.wait(lock, [&] {
                 return state_->unsettled == 0 || !state_->ready.empty();
             });
@@ -437,6 +460,14 @@ void wait_node(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
     int actor = -1;
     altis::analyze::recorder* rec = nullptr;
     std::unique_lock lock(st->mu);
+    // Steal only what the waited node depends on: running an unrelated ready
+    // command here could hold the caller up for its whole length.
+    const std::vector<std::uint64_t> mine = st->unsettled_ancestors(id);
+    const auto stealable = [&]() -> std::uint64_t {
+        for (const std::uint64_t r : st->ready)
+            if (std::binary_search(mine.begin(), mine.end(), r)) return r;
+        return 0;
+    };
     for (;;) {
         node_rec* n = st->find(id);
         if (n == nullptr) break;  // earlier epoch: settled and joined
@@ -445,11 +476,11 @@ void wait_node(const std::shared_ptr<scheduler_state>& st, std::uint64_t id) {
             rec = n->recorder;
             break;
         }
-        if (!try_run_ready(st, lock))
+        if (!try_run(st, lock, stealable()))
             st->cv.wait(lock, [&] {
                 node_rec* m = st->find(id);
                 return m == nullptr || is_settled(m->state) ||
-                       !st->ready.empty();
+                       stealable() != 0;
             });
     }
     lock.unlock();

@@ -7,9 +7,10 @@
 //       ranges (interval carving over a per-epoch segment map),
 //   (c) nothing else -- submission order alone creates no edge.
 // Dependency-free nodes dispatch asynchronously onto a thread_pool as posted
-// tasks; joining threads (queue::wait, event::wait, buffer write-back) steal
-// and run ready nodes themselves, so the graph drains even on a pool with
-// zero workers (single-core hosts).
+// tasks; joining threads steal and run ready nodes themselves, so the graph
+// drains even on a pool with zero workers (single-core hosts). queue::wait
+// steals any ready node; event::wait and buffer write-back steal only the
+// waited node and its unsettled ancestors.
 //
 // Two-phase submit: enqueue() registers the node *held* and returns a ticket
 // with the resolved edges and deterministic simulated start/end (computed on

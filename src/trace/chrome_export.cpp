@@ -5,31 +5,12 @@
 #include <ostream>
 #include <set>
 
+#include "core/json.hpp"
 #include "metrics/export.hpp"
 #include "metrics/session.hpp"
 
 namespace altis::trace {
 namespace {
-
-void write_escaped(std::ostream& out, const std::string& s) {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    static const char* hex = "0123456789abcdef";
-                    out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-                } else {
-                    out << c;
-                }
-        }
-    }
-    out << '"';
-}
 
 // Track ids: region spans get tid 0 (they envelop everything), the main
 // sequential lane tid 1, dataflow lanes tid 2... Perfetto sorts by tid, so
@@ -40,10 +21,9 @@ int tid_for(const span& s) {
 }
 
 void write_event(std::ostream& out, const span& s) {
-    out << "    {\"name\": ";
-    write_escaped(out, s.name.empty() ? to_string(s.kind) : s.name);
-    out << ", \"cat\": ";
-    write_escaped(out, to_string(s.kind));
+    const std::string_view kind = to_string(s.kind);
+    out << "    {\"name\": " << json::quoted(s.name.empty() ? kind : s.name)
+        << ", \"cat\": " << json::quoted(kind);
     // ts/dur are microseconds; simulated nanoseconds survive as fractions.
     out << ", \"ph\": \"X\", \"ts\": " << s.start_ns / 1e3
         << ", \"dur\": " << s.duration_ns() / 1e3
@@ -58,12 +38,9 @@ void write_event(std::ostream& out, const span& s) {
         out << ", \"cname\": \"black\"";
     else if (s.status == span_status::quarantined)
         out << ", \"cname\": \"grey\"";
-    out << ", \"args\": {\"kind\": ";
-    write_escaped(out, to_string(s.kind));
-    if (s.status != span_status::ok) {
-        out << ", \"status\": ";
-        write_escaped(out, to_string(s.status));
-    }
+    out << ", \"args\": {\"kind\": " << json::quoted(kind);
+    if (s.status != span_status::ok)
+        out << ", \"status\": " << json::quoted(to_string(s.status));
     if (s.kind == span_kind::kernel) {
         const span_counters& c = s.counters;
         out << ", \"invocations\": " << c.invocations
@@ -84,12 +61,9 @@ void write_event(std::ostream& out, const span& s) {
 void write_chrome_json(const session& s, std::ostream& out,
                        const altis::metrics::session* metrics) {
     out << "{\n  \"displayTimeUnit\": \"ns\",\n";
-    out << "  \"otherData\": {\"session\": ";
-    write_escaped(out, s.name());
-    if (s.device() != nullptr) {
-        out << ", \"device\": ";
-        write_escaped(out, s.device()->name);
-    }
+    out << "  \"otherData\": {\"session\": " << json::quoted(s.name());
+    if (s.device() != nullptr)
+        out << ", \"device\": " << json::quoted(s.device()->name);
     out << "},\n  \"traceEvents\": [\n";
 
     bool first = true;
@@ -106,9 +80,8 @@ void write_chrome_json(const session& s, std::ostream& out,
                                                    std::to_string(tid - 1);
         out << "    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
                "\"tid\": "
-            << tid << ", \"args\": {\"name\": ";
-        write_escaped(out, label);
-        out << "}}";
+            << tid << ", \"args\": {\"name\": " << json::quoted(label)
+            << "}}";
     }
     for (const auto& sp : s.spans()) {
         if (!first) out << ",\n";

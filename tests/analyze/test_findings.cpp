@@ -6,7 +6,7 @@
 #include <set>
 #include <sstream>
 
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis::analyze {
 namespace {
@@ -76,12 +76,14 @@ TEST(Report, TextRenderingMentionsRuleAndCount) {
 
 TEST(Report, JsonRoundTripsThroughStrictParser) {
     report r;
-    r.add(make_finding("ALS-P1", "reader", "pipe \"in\"", "no writer"));
+    // Every control byte goes out escaped, so hostile text round-trips.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    r.add(make_finding("ALS-P1", "reader", "pipe \"in\"", hostile));
     r.add(make_finding("ALS-L1", "pf_propagate", "", "pow(a,2)"));
     std::ostringstream out;
     r.render_json(out);
 
-    const auto doc = mini_json::parse(out.str());
+    const auto doc = altis::json::parse(out.str());
     const auto& findings = doc.at("findings").as_array();
     ASSERT_EQ(findings.size(), 2u);
     // Sorted by (rule, object, kernel): ALS-L1 before ALS-P1.
@@ -89,6 +91,7 @@ TEST(Report, JsonRoundTripsThroughStrictParser) {
     EXPECT_EQ(f1.at("rule").as_string(), "ALS-P1");
     EXPECT_EQ(f1.at("severity").as_string(), "error");
     EXPECT_EQ(f1.at("object").as_string(), "pipe \"in\"");
+    EXPECT_EQ(f1.at("message").as_string(), hostile);
     for (const char* key :
          {"rule", "severity", "kernel", "object", "message", "fix_hint",
           "paper_ref", "fingerprint"})
@@ -99,7 +102,7 @@ TEST(Report, EmptyJsonIsAValidDocument) {
     report r;
     std::ostringstream out;
     r.render_json(out);
-    const auto doc = mini_json::parse(out.str());
+    const auto doc = altis::json::parse(out.str());
     EXPECT_EQ(doc.at("findings").as_array().size(), 0u);
 }
 

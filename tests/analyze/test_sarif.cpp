@@ -1,5 +1,5 @@
 // SARIF v2.1.0 exporter and the baseline/suppression workflow. The strict
-// mini_json round-trip locks down well-formedness; the structural checks pin
+// core/json round-trip locks down well-formedness; the structural checks pin
 // the subset of the schema GitHub code scanning actually consumes.
 #include "analyze/sarif.hpp"
 
@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis::analyze {
 namespace {
@@ -28,7 +28,7 @@ std::string render(const report& r) {
 }
 
 TEST(Sarif, DocumentHasTheRequiredStructure) {
-    const auto doc = mini_json::parse(render(sample_report()));
+    const auto doc = altis::json::parse(render(sample_report()));
     EXPECT_EQ(doc.at("version").as_string(), "2.1.0");
     EXPECT_NE(doc.at("$schema").as_string().find("sarif-2.1.0"),
               std::string::npos);
@@ -57,10 +57,19 @@ TEST(Sarif, DocumentHasTheRequiredStructure) {
         r1.at("ruleIndex").as_number());
     EXPECT_EQ(driver.at("rules").as_array()[idx].at("id").as_string(),
               "ALS-R1");
+
+    // Every control byte goes out escaped, so hostile text round-trips.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    report h;
+    h.add(make_finding("ALS-L1", hostile, hostile, hostile));
+    const auto hdoc = altis::json::parse(render(h));
+    const auto& hr = hdoc.at("runs").as_array()[0].at("results").as_array()[0];
+    EXPECT_EQ(hr.at("message").at("text").as_string(), hostile);
+    EXPECT_EQ(hr.at("properties").at("object").as_string(), hostile);
 }
 
 TEST(Sarif, EmptyReportIsStillAValidRun) {
-    const auto doc = mini_json::parse(render(report{}));
+    const auto doc = altis::json::parse(render(report{}));
     EXPECT_EQ(
         doc.at("runs").as_array()[0].at("results").as_array().size(), 0u);
 }

@@ -5,7 +5,7 @@
 #include <cfloat>
 #include <sstream>
 
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis {
 namespace {
@@ -105,12 +105,16 @@ TEST(ResultDatabase, JsonRoundTripsEscapesInAtts) {
     const std::string atts = "path=C:\\altis\\\"run 1\"\tsize=2\nline";
     db.add_result("back\\slash", atts, "ms", 1.5);
     db.add_failure("back\\slash", atts, "ms");
+    // Every other control byte goes out as \u00xx, never raw.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    db.add_result("back\\slash", hostile, "ms", 2.0);
     std::ostringstream os;
     db.dump_json(os);
 
-    const mini_json::value doc = mini_json::parse(os.str());
-    ASSERT_EQ(doc.as_array().size(), 1u);
-    const mini_json::value& r = doc.as_array()[0];
+    const altis::json::value doc = altis::json::parse(os.str());
+    ASSERT_EQ(doc.as_array().size(), 2u);
+    EXPECT_EQ(doc.as_array()[1].at("atts").as_string(), hostile);
+    const altis::json::value& r = doc.as_array()[0];
     EXPECT_EQ(r.at("test").as_string(), "back\\slash");
     EXPECT_EQ(r.at("atts").as_string(), atts);
     EXPECT_EQ(r.at("unit").as_string(), "ms");

@@ -1,6 +1,6 @@
 // Exporter correctness: Prometheus text exposition (escaping, cumulative
 // histogram buckets), structured JSON (round-tripped through the strict
-// mini_json parser) and Chrome trace-event counter tracks.
+// core/json parser) and Chrome trace-event counter tracks.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +9,7 @@
 #include "metrics/export.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/session.hpp"
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis::metrics {
 namespace {
@@ -106,10 +106,13 @@ TEST(JsonExport, RoundTripsThroughStrictParser) {
     series.info.kind = instrument_kind::gauge;
     series.samples = {{0.0, 1.0}, {5e6, 2.0}};
 
+    // Every other control byte goes out as \u00xx, never raw.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    snap.metrics[0].info.help = hostile;
     std::ostringstream out;
     write_json(snap, {series}, out);
 
-    const mini_json::value root = mini_json::parse(out.str());
+    const altis::json::value root = altis::json::parse(out.str());
     EXPECT_EQ(root.at("session").as_string(), "json \"quoted\"\nname");
     EXPECT_DOUBLE_EQ(root.at("duration_ns").as_number(), 1.5e9);
 
@@ -118,6 +121,7 @@ TEST(JsonExport, RoundTripsThroughStrictParser) {
     EXPECT_EQ(metrics[0].at("name").as_string(), "a_total");
     EXPECT_EQ(metrics[0].at("type").as_string(), "counter");
     EXPECT_DOUBLE_EQ(metrics[0].at("value").as_number(), 3.0);
+    EXPECT_EQ(metrics[0].at("help").as_string(), hostile);
     EXPECT_DOUBLE_EQ(metrics[1].at("value").as_number(), -2.0);
     EXPECT_EQ(metrics[2].at("type").as_string(), "histogram");
     EXPECT_DOUBLE_EQ(metrics[2].at("count").as_number(), 2.0);
@@ -149,7 +153,7 @@ TEST(ChromeCounters, EmitsCounterEventsUnderMetricsPid) {
     EXPECT_FALSE(first);  // events were written; comma protocol advanced
 
     // The emitted fragment is a valid slice of a traceEvents array.
-    const mini_json::value events = mini_json::parse("[" + out.str() + "]");
+    const altis::json::value events = altis::json::parse("[" + out.str() + "]");
     const auto& arr = events.as_array();
     ASSERT_EQ(arr.size(), 3u);  // process_name metadata + 2 samples
     EXPECT_EQ(arr[0].at("ph").as_string(), "M");

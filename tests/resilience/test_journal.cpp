@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/json.hpp"
+
 namespace altis::resilience {
 namespace {
 
@@ -59,12 +61,30 @@ TEST(Journal, EscapesAndAbsentValueSurvive) {
     e.config = "weird \"config\"\\with\nnewline\tand\x01control";
     e.oc.st = outcome::status::failed;
     e.oc.error = "injected fault: alloc@1 on \"usm_host\"";
+    // Every other control byte goes out as \u00xx, never raw.
+    e.log = "q\"b\\s\x01" "c\rn\nt\t";
     e.value.reset();
-    const auto back = parse_line(to_line(e));
+    const std::string line = to_line(e);
+    const auto back = parse_line(line);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->config, e.config);
     EXPECT_EQ(back->oc.error, e.oc.error);
+    EXPECT_EQ(back->log, e.log);
     EXPECT_FALSE(back->value.has_value());
+    EXPECT_EQ(json::parse(line).at("log").as_string(), e.log);
+}
+
+TEST(Journal, LinesOfEarlierWritersStillReplay) {
+    // Earlier writers escaped a carriage return as \r; it reads back, and
+    // the rewritten line uses the one escaping rule.
+    const auto back = parse_line(
+        R"({"config":"c","status":"failed","attempts":1,"backoff_ms":0,)"
+        R"("error":"line\rbreak"})");
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->oc.st, outcome::status::failed);
+    EXPECT_EQ(back->oc.error, "line\rbreak");
+    EXPECT_NE(to_line(*back).find(R"("error":"line\u000dbreak")"),
+              std::string::npos);
 }
 
 TEST(Journal, PlanStateIsWrittenOnlyWhenPresent) {
@@ -143,7 +163,7 @@ TEST(Journal, ReaderToleratesATornFinalLine) {
     EXPECT_EQ(jf->entries.size(), 1u) << "torn tail must be dropped";
 }
 
-TEST(Journal, DuplicateConfigsKeepTheFirstOccurrence) {
+TEST(Journal, RepeatedConfigsKeepEveryEntryInOrder) {
     const std::string path = tmp_path("dup.jsonl");
     std::remove(path.c_str());
     {
@@ -154,10 +174,12 @@ TEST(Journal, DuplicateConfigsKeepTheFirstOccurrence) {
         e.oc.st = outcome::status::ok;
         w.append(e);
     }
+    // A sweep that meets a label twice journals both encounters.
     const auto jf = read_journal(path, "sweep");
     ASSERT_TRUE(jf.has_value());
-    ASSERT_EQ(jf->entries.size(), 1u);
+    ASSERT_EQ(jf->entries.size(), 2u);
     EXPECT_EQ(jf->entries[0].oc.st, outcome::status::failed);
+    EXPECT_EQ(jf->entries[1].oc.st, outcome::status::ok);
 }
 
 TEST(Journal, MissingFileIsAFreshRunNotAnError) {

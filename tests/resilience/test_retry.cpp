@@ -11,7 +11,7 @@
 #include "core/result_database.hpp"
 #include "fault/inject.hpp"
 #include "resilience/supervisor.hpp"
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis::fault {
 namespace {
@@ -156,7 +156,7 @@ TEST(FaultRetry, FailedConfigStillYieldsWellFormedJson) {
 
     std::ostringstream out;
     db.dump_json(out);
-    const mini_json::value v = mini_json::parse(out.str());
+    const altis::json::value v = altis::json::parse(out.str());
     ASSERT_TRUE(v.has("results"));
     ASSERT_TRUE(v.has("outcomes"));
     const auto& outcomes = v.at("outcomes").as_array();
@@ -177,7 +177,7 @@ TEST(FaultRetry, JsonKeepsLegacyArrayShapeWithoutOutcomes) {
     std::ostringstream out;
     db.dump_json(out);
     EXPECT_EQ(out.str().front(), '[');  // historical bare-array shape
-    const mini_json::value v = mini_json::parse(out.str());
+    const altis::json::value v = altis::json::parse(out.str());
     EXPECT_EQ(v.as_array().size(), 1u);
 }
 
@@ -225,7 +225,7 @@ TEST(FaultRetry, InjectedSweepIsByteForByteReproducible) {
     EXPECT_EQ(a, b);
 
     // The sweep completed and recorded every configuration.
-    const mini_json::value v = mini_json::parse(a);
+    const altis::json::value v = altis::json::parse(a);
     const auto& outcomes = v.at("outcomes").as_array();
     std::size_t expected = 0;
     for (const auto& e : bench::suite())

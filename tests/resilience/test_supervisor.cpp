@@ -122,6 +122,34 @@ TEST_F(Supervisor, ResumeReplaysVerbatimWithoutRunningTheBody) {
     EXPECT_EQ(jf->entries.size(), 2u);
 }
 
+TEST_F(Supervisor, RepeatedLabelReplaysItsEntriesInEncounterOrder) {
+    const std::string path = tmp_path("repeat.jsonl");
+    std::remove(path.c_str());
+    {
+        options o;
+        o.journal_path = path;
+        supervisor sup(o, "sweep");
+        sup.run("a", "k", fail());
+        sup.run("a", "k", succeed(2.0));
+    }
+    options o;
+    o.resume_path = path;
+    supervisor sup(o, "sweep");
+    EXPECT_EQ(sup.replayable(), 2u);
+    int body_calls = 0;
+    const auto first = sup.run("a", "k", succeed(9.9, &body_calls));
+    EXPECT_TRUE(first.replayed);
+    EXPECT_EQ(first.entry.oc.st, outcome::status::failed);
+    const auto second = sup.run("a", "k", succeed(9.9, &body_calls));
+    EXPECT_TRUE(second.replayed);
+    ASSERT_TRUE(second.entry.value.has_value());
+    EXPECT_EQ(*second.entry.value, 2.0);
+    EXPECT_EQ(body_calls, 0);
+    // A third encounter has no entry left: it runs live.
+    EXPECT_FALSE(sup.run("a", "k", succeed(9.9, &body_calls)).replayed);
+    EXPECT_EQ(body_calls, 1);
+}
+
 TEST_F(Supervisor, ResumeWithFreshJournalCompacts) {
     const std::string old_path = tmp_path("old.jsonl");
     const std::string new_path = tmp_path("new.jsonl");

@@ -232,6 +232,47 @@ TEST(GraphSched, EventWaitIsATargetedJoin) {
     EXPECT_EQ(b.host_data()[0], 8);
 }
 
+TEST(GraphSched, EventWaitStealsOnlyWhatTheWaitedCommandNeeds) {
+    // The pool's one worker is parked behind a posted task, so only joining
+    // threads run nodes. kb is submitted (and ready) before the unrelated
+    // ka: a join that stole any ready node would run kb first.
+    thread_pool pool(1);
+    std::atomic<bool> parked{false}, open{false};
+    pool.post([&] {
+        parked.store(true, std::memory_order_release);
+        const auto limit =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!open.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < limit)
+            std::this_thread::yield();
+    });
+    while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();
+    queue q("rtx_2080", queue_property::out_of_order);
+    q.set_graph_pool(&pool);
+    buffer<int> a(64), b(64);
+    std::atomic<int> b_ran{0};
+    q.submit([&](handler& h) {
+        auto acc = h.get_access(b, access_mode::discard_write);
+        h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("kb"),
+                       [=, &b_ran](nd_item<1> it) {
+                           b_ran.store(1, std::memory_order_relaxed);
+                           acc[it.get_global_id(0)] = 8;
+                       });
+    });
+    event e_a = q.submit([&](handler& h) {
+        auto acc = h.get_access(a, access_mode::discard_write);
+        h.parallel_for(nd_range<1>(range<1>(64), range<1>(64)), stats("ka"),
+                       [=](nd_item<1> it) { acc[it.get_global_id(0)] = 7; });
+    });
+    e_a.wait();
+    EXPECT_EQ(a.host_data()[0], 7);
+    EXPECT_EQ(b_ran.load(std::memory_order_relaxed), 0)
+        << "event::wait() ran a command its event does not depend on";
+    open.store(true, std::memory_order_release);
+    q.wait();
+    EXPECT_EQ(b.host_data()[0], 8);
+}
+
 TEST(GraphSched, DependsOnOrdersIndependentKernelsUnderRealConcurrency) {
     thread_pool pool(4);
     for (int round = 0; round < 20; ++round) {

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "sycl/syclite.hpp"
-#include "support/mini_json.hpp"
+#include "core/json.hpp"
 
 namespace altis::trace {
 namespace {
@@ -85,7 +85,7 @@ TEST(ChromeExport, RoundTripsThroughParser) {
     std::ostringstream out;
     write_chrome_json(s, out);
 
-    const mini_json::value doc = mini_json::parse(out.str());
+    const altis::json::value doc = altis::json::parse(out.str());
     EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ns");
     EXPECT_EQ(doc.at("otherData").at("session").as_string(), "roundtrip");
     EXPECT_EQ(doc.at("otherData").at("device").as_string(), "stratix_10");
@@ -131,20 +131,26 @@ TEST(ChromeExport, EscapesHostileNames) {
     perf::kernel_stats k = named_stats("kernel\\with\"specials\"");
     s.record_kernel(k, 0.0, 10.0);
     s.end_region(10.0);
+    // Every other control byte goes out as \u00xx, never raw.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    s.begin_region(hostile, 10.0);
+    s.end_region(12.0);
     std::ostringstream out;
     write_chrome_json(s, out);
-    const mini_json::value doc = mini_json::parse(out.str());
+    const altis::json::value doc = altis::json::parse(out.str());
     EXPECT_EQ(doc.at("otherData").at("session").as_string(),
               "quote\" back\\slash\nnewline\ttab\x01ctl");
-    bool saw_kernel = false, saw_region = false;
+    bool saw_kernel = false, saw_region = false, saw_hostile = false;
     for (const auto& ev : doc.at("traceEvents").as_array()) {
         if (ev.at("ph").as_string() != "X") continue;
         const std::string name = ev.at("name").as_string();
         if (name == "kernel\\with\"specials\"") saw_kernel = true;
         if (name == "region \"r\" \\ one") saw_region = true;
+        if (name == hostile) saw_hostile = true;
     }
     EXPECT_TRUE(saw_kernel);
     EXPECT_TRUE(saw_region);
+    EXPECT_TRUE(saw_hostile);
 }
 
 TEST(Profile, AggregateMathMatchesSession) {
@@ -242,12 +248,15 @@ TEST(Profile, RooflineClassification) {
 
 TEST(Profile, JsonExportRoundTrips) {
     const session s = make_session();
-    const profile_report p = build_profile(s);
+    profile_report p = build_profile(s);
+    // Every control byte goes out escaped, so hostile text round-trips.
+    const std::string hostile = "q\"b\\s\x01" "c\rn\nt\t";
+    p.device = hostile;
     std::ostringstream out;
     write_profile_json(p, out);
-    const mini_json::value doc = mini_json::parse(out.str());
+    const altis::json::value doc = altis::json::parse(out.str());
     EXPECT_EQ(doc.at("session").as_string(), "roundtrip");
-    EXPECT_EQ(doc.at("device").as_string(), "stratix_10");
+    EXPECT_EQ(doc.at("device").as_string(), hostile);
     double sum_ns = 0.0;
     for (const auto& k : doc.at("kernels").as_array()) {
         sum_ns += k.at("total_ns").as_number();
@@ -474,9 +483,9 @@ TEST(TraceOptions, FinishSessionWritesParseableArtifacts) {
         ss << f.rdbuf();
         return ss.str();
     };
-    EXPECT_NO_THROW((void)mini_json::parse(slurp(o.trace_path)));
+    EXPECT_NO_THROW((void)altis::json::parse(slurp(o.trace_path)));
     EXPECT_NO_THROW(
-        (void)mini_json::parse(slurp(o.trace_path + ".profile.json")));
+        (void)altis::json::parse(slurp(o.trace_path + ".profile.json")));
     std::remove(o.trace_path.c_str());
     std::remove((o.trace_path + ".profile.json").c_str());
 }
